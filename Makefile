@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz fuzz-smoke bench bench-engine bench-stream bench-fit bench-gen bench-serve bench-sweep bench-trace bench-scale prof-trace golden golden-sweep
+.PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz fuzz-smoke bench bench-perf golden golden-sweep
 
 # The full gate: what CI runs — static checks, build, the race detector
 # over every test, focused race passes over the parallel generator, the
@@ -65,10 +65,10 @@ race-codec:
 	$(GO) test -race -run 'BatchIdentity' ./internal/engine
 
 # Race pass over the sub-shard analysis pipeline: the workers x seeds
-# byte-identity matrix for fleet and stream, the grain and dispatch-order
-# identities, and the counter-seeded bootstrap partition-invariance tests.
+# byte-identity matrix for fleet and stream, the dispatch-order identity,
+# and the counter-seeded bootstrap partition-invariance tests.
 race-engine:
-	$(GO) test -race -run 'SubShard|Grain|DispatchOrder|Partition|RepSeed' ./internal/engine ./internal/dist
+	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed' ./internal/engine ./internal/dist
 
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/failures
@@ -84,63 +84,15 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Sequential-vs-parallel engine wall clock; refreshes BENCH_engine.json.
-bench-engine:
-	$(GO) run ./cmd/enginebench
-
-# In-memory vs streaming fleet analysis; refreshes BENCH_stream.json.
-bench-stream:
-	$(GO) run ./cmd/streambench
-
-# Fit kernels vs the frozen slice-path fitters; refreshes BENCH_fit.json.
-bench-fit:
-	$(GO) run ./cmd/fitbench
-
-# Generator: frozen reference vs compiled parallel vs streaming, with a
-# record-identity check before timing; refreshes BENCH_gen.json.
-bench-gen:
-	$(GO) run ./cmd/genbench
-
-# Daemon over loopback HTTP: concurrent ingest throughput plus /result
-# latency under live appends; refreshes BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/servebench
-
-# Sweep engine at one worker vs every core, with a byte-identity check
-# before timing; refreshes BENCH_sweep.json.
-bench-sweep:
-	$(GO) run ./cmd/sweepbench
-
-# Trace I/O paths — fused generator->engine, CSV and binary write and
-# scan-analyze, and the materialized CSV baseline — with a streaming
-# result-identity check before reporting; refreshes BENCH_trace.json.
-bench-trace:
-	$(GO) run ./cmd/tracebench
-
-# The scaling sweep: the parallel benchmarks at GOMAXPROCS 1, 2, 4 and
-# 8. enginebench takes the whole list in one run (it records the
-# workers x GOMAXPROCS matrix itself); the others are re-run per
-# GOMAXPROCS into bench_scale/ so the committed BENCH_*.json files keep
-# the default-configuration run. tracebench runs at a reduced scale per
-# point — the full default dataset takes minutes per GOMAXPROCS.
-bench-scale:
-	mkdir -p bench_scale
-	$(GO) run ./cmd/enginebench -gomaxprocs 1,2,4,8 -out bench_scale/BENCH_engine_scale.json
-	for p in 1 2 4 8; do \
-		GOMAXPROCS=$$p $(GO) run ./cmd/fitbench -out bench_scale/BENCH_fit_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/genbench -out bench_scale/BENCH_gen_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/sweepbench -out bench_scale/BENCH_sweep_p$$p.json && \
-		GOMAXPROCS=$$p $(GO) run ./cmd/tracebench -scale 20 -out bench_scale/BENCH_trace_p$$p.json || exit 1; \
+# The repository benchmark (BENCHMARK.json): every workload it lists,
+# at seed 1 and its run length, through perfbench/run.sh. Each run gates
+# its outputs before timing and exits non-zero on a failed gate. Profile
+# a single layer with its microbenchmark instead, e.g.
+#   go test -run '^$' -bench BlockDecode -cpuprofile cpu.pprof ./internal/tracefmt
+bench-perf:
+	for w in gen_write scan_analyze fit_ci; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 25 --trace 0 || exit 1; \
 	done
-
-# CPU and heap profiles of the trace pipeline (the parallel codec plus
-# the batched engine fan-in) into prof/; uses a scratch -out so the
-# committed BENCH_trace.json is not skewed by profiler overhead.
-prof-trace:
-	mkdir -p prof
-	$(GO) run ./cmd/tracebench -scale 20 -cpuprofile prof/trace_cpu.pprof \
-		-memprofile prof/trace_mem.pprof -out prof/BENCH_trace_prof.json
-	@echo "profiles in prof/: go tool pprof prof/trace_cpu.pprof"
 
 # Rewrite the cmd/reproduce golden file after a reviewed output change.
 golden:

@@ -408,7 +408,7 @@ func benchFleet(b *testing.B, workers int) {
 }
 
 // BenchmarkFitSequential is the 1-worker fleet analysis: the baseline the
-// parallel path is compared against (see BENCH_engine.json).
+// parallel path is compared against.
 func BenchmarkFitSequential(b *testing.B) { benchFleet(b, 1) }
 
 // BenchmarkFitParallel is the same workload on an 8-worker pool. On a

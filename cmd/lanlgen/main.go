@@ -18,7 +18,7 @@
 //
 // -format bin writes the internal/tracefmt columnar binary format:
 // ~2.5x smaller than CSV and over an order of magnitude faster to scan
-// (see BENCH_trace.json). -format bin requires -out, since the binary
+// (see EXPERIMENTS.md). -format bin requires -out, since the binary
 // stream is not terminal-friendly.
 //
 // -catalog exa swaps the Table 1 catalog for the extrapolated

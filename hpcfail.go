@@ -327,12 +327,6 @@ var (
 	// order and merge bit-identically to the one-shot calls above.
 	NewCIPlan = dist.NewCIPlan
 	NewKSPlan = dist.NewKSPlan
-
-	// RefStreamFitCI and RefStreamBootstrapKSTest freeze the pre-plan
-	// sequential-stream bootstrap for regression comparisons, the way
-	// RefFitCI freezes the slice path.
-	RefStreamFitCI           = dist.RefStreamFitCI
-	RefStreamBootstrapKSTest = dist.RefStreamBootstrapKSTest
 )
 
 // Splittable-bootstrap plan types.
@@ -548,12 +542,8 @@ type (
 	// confidence intervals for every fitted parameter.
 	Engine = engine.Engine
 	// EngineOptions configures worker count, bootstrap replication count,
-	// confidence level, base seed and scheduling grain.
+	// confidence level and base seed.
 	EngineOptions = engine.Options
-	// Grain selects the engine's unit of parallelism: sub-shard tasks
-	// (per-family fits plus per-rep-block bootstraps, the default) or
-	// whole shards; both grains merge to byte-identical results.
-	Grain = engine.Grain
 	// ShardKey identifies one (system, workload, root cause) shard of a
 	// fleet analysis; ShardSpec controls sharding and fitted families.
 	ShardKey  = engine.ShardKey
@@ -566,15 +556,8 @@ type (
 )
 
 // NewEngine builds an analysis engine; the zero Options give GOMAXPROCS
-// workers, 200 bootstrap resamples at the 95% level, seed 0 and the
-// sub-shard grain.
+// workers, 200 bootstrap resamples at the 95% level and seed 0.
 var NewEngine = engine.New
-
-// Scheduling grains for EngineOptions.Grain.
-const (
-	GrainSubShard = engine.GrainSubShard
-	GrainShard    = engine.GrainShard
-)
 
 // ---- Streaming one-pass statistics (internal/streamstats, internal/engine) ----
 

@@ -14,8 +14,7 @@ import (
 // shipped before the precomputed-transform Sample layer existed. They are
 // deliberately NOT optimized: the property tests assert that every kernel
 // fitter is bit-identical (== on parameters, not within-epsilon) to its
-// reference here, and cmd/fitbench times them as the honest "before" column
-// of BENCH_fit.json. Do not modernize these bodies; their value is that they
+// reference here. Do not modernize these bodies; their value is that they
 // do not change.
 
 // RefFit dispatches to the frozen reference maximum-likelihood fitter for

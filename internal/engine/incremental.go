@@ -196,32 +196,16 @@ func (inc *Incremental) Result(ctx context.Context) (*FleetResult, *StreamInfo, 
 	inc.mu.Unlock()
 
 	// Fit the dirty shards outside the lock, over the same sub-shard
-	// pipeline (or per-shard tasks under GrainShard) the one-shot paths
-	// use, largest dirty shard first.
-	if inc.eng.grain == GrainShard {
-		sizes := make([]int, len(jobs))
-		for j := range jobs {
-			sizes[j] = jobs[j].acc.records
-		}
-		ord := inc.eng.orderIndexes(sizes)
-		inc.eng.runPhase(ctx, len(ord), func(i int) {
-			j := ord[i]
-			out[jobs[j].i] = inc.eng.streamShardResult(ctx, jobs[j].key, jobs[j].acc, inc.opts.Spec)
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		sjobs := make([]*shardJob, len(jobs))
-		for j := range jobs {
-			sjobs[j] = &shardJob{pos: jobs[j].i, key: jobs[j].key, size: jobs[j].acc.records, acc: jobs[j].acc}
-		}
-		if err := inc.eng.analyzeJobs(ctx, sjobs, nil, inc.opts.Spec); err != nil {
-			return nil, nil, err
-		}
-		for j := range jobs {
-			out[jobs[j].i] = sjobs[j].res
-		}
+	// pipeline the one-shot paths use, largest dirty shard first.
+	sjobs := make([]*shardJob, len(jobs))
+	for j := range jobs {
+		sjobs[j] = &shardJob{pos: jobs[j].i, key: jobs[j].key, size: jobs[j].acc.records, acc: jobs[j].acc}
+	}
+	if err := inc.eng.analyzeJobs(ctx, sjobs, nil, inc.opts.Spec); err != nil {
+		return nil, nil, err
+	}
+	for j := range jobs {
+		out[jobs[j].i] = sjobs[j].res
 	}
 
 	// Publish to the cache. A concurrent Result may have computed a

@@ -215,31 +215,17 @@ func slice(d *failures.Dataset, key ShardKey) *failures.Dataset {
 
 // AnalyzeFleet shards the trace per spec and fans the fitting —
 // interarrival and repair-time model comparisons plus bootstrap confidence
-// intervals — out across the engine's worker pool, at sub-shard
-// granularity by default (per-family fit tasks and per-rep-block
-// bootstrap tasks, largest shard dispatched first). Results merge in
-// shard order, so the output is identical at any worker count and any
-// grain. The context cancels the run between tasks.
+// intervals — out across the engine's worker pool as sub-shard tasks
+// (per-family fit tasks and per-rep-block bootstrap tasks, largest shard
+// dispatched first). Results merge in shard order, so the output is
+// identical at any worker count. The context cancels the run between
+// tasks.
 func (e *Engine) AnalyzeFleet(ctx context.Context, d *failures.Dataset, spec ShardSpec) (*FleetResult, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("engine analyze fleet: %w", failures.ErrNoRecords)
 	}
 	keys := buildShards(d, spec)
 	sizes := fleetShardSizes(d, keys, spec)
-	results := make([]ShardResult, len(keys))
-
-	if e.grain == GrainShard {
-		ord := e.orderIndexes(sizes)
-		e.runPhase(ctx, len(ord), func(i int) {
-			k := ord[i]
-			results[k] = e.analyzeShard(ctx, d, keys[k], spec)
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return &FleetResult{Shards: results}, nil
-	}
-
 	jobs := make([]*shardJob, len(keys))
 	for i, key := range keys {
 		jobs[i] = &shardJob{pos: i, key: key, size: sizes[i]}
@@ -247,62 +233,9 @@ func (e *Engine) AnalyzeFleet(ctx context.Context, d *failures.Dataset, spec Sha
 	if err := e.analyzeJobs(ctx, jobs, d, spec); err != nil {
 		return nil, err
 	}
+	results := make([]ShardResult, len(jobs))
 	for i, j := range jobs {
 		results[i] = j.res
 	}
 	return &FleetResult{Shards: results}, nil
-}
-
-func (e *Engine) analyzeShard(ctx context.Context, d *failures.Dataset, key ShardKey, spec ShardSpec) ShardResult {
-	sub := slice(d, key)
-	res := ShardResult{Key: key, Records: sub.Len()}
-	var err error
-	res.Interarrival, err = e.study(ctx, sub.PositiveInterarrivals(), spec)
-	if err != nil {
-		res.Err = fmt.Errorf("shard %s interarrival: %w", key, err)
-		return res
-	}
-	res.Repair, err = e.study(ctx, sub.RepairTimes(), spec)
-	if err != nil {
-		res.Err = fmt.Errorf("shard %s repair: %w", key, err)
-		return res
-	}
-	return res
-}
-
-// study fits one sample: summary, ranked comparison, and bootstrap
-// intervals for the requested families. A sample below the spec's minimum
-// size yields (nil, nil) — too small to study, not an error.
-func (e *Engine) study(ctx context.Context, xs []float64, spec ShardSpec) (*Study, error) {
-	if len(xs) < spec.minN() {
-		return nil, nil
-	}
-	summary, err := stats.Summarize(xs)
-	if err != nil {
-		return nil, err
-	}
-	// One interned Sample carries the precomputed transforms through all
-	// four family fits and every bootstrap interval below.
-	s := e.Intern(xs)
-	fits, err := e.FitAllSample(ctx, s, spec.families()...)
-	if err != nil {
-		return nil, err
-	}
-	st := &Study{N: len(xs), Summary: summary, Fits: fits}
-	if e.reps < 0 {
-		return st, nil
-	}
-	st.CIs = make(map[dist.Family][]dist.ParamCI)
-	for _, f := range spec.ciFamilies() {
-		r, ok := fits.ByFamily(f)
-		if !ok || r.Err != nil {
-			continue
-		}
-		if _, cis, err := e.FitCISample(ctx, s, f); err == nil {
-			st.CIs[f] = cis
-		} else if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	return st, nil
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"hpcfail/internal/dist"
 	"hpcfail/internal/failures"
 	"hpcfail/internal/streamstats"
 )
@@ -277,26 +276,8 @@ func (e *Engine) AnalyzeStream(ctx context.Context, src RecordSource, opts Strea
 
 	// Enumerate shard keys exactly as buildShards does on a materialized
 	// dataset, so the merged output is ordered identically to
-	// AnalyzeFleet's at any worker count and any grain.
+	// AnalyzeFleet's at any worker count.
 	keys := streamShardKeys(accums, spec)
-	results := make([]ShardResult, len(keys))
-
-	if e.grain == GrainShard {
-		sizes := make([]int, len(keys))
-		for i, key := range keys {
-			sizes[i] = accums[key].records
-		}
-		ord := e.orderIndexes(sizes)
-		e.runPhase(ctx, len(ord), func(i int) {
-			k := ord[i]
-			results[k] = e.streamShardResult(ctx, keys[k], accums[keys[k]], spec)
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		return &FleetResult{Shards: results}, info, nil
-	}
-
 	jobs := make([]*shardJob, len(keys))
 	for i, key := range keys {
 		a := accums[key]
@@ -305,6 +286,7 @@ func (e *Engine) AnalyzeStream(ctx context.Context, src RecordSource, opts Strea
 	if err := e.analyzeJobs(ctx, jobs, nil, spec); err != nil {
 		return nil, nil, err
 	}
+	results := make([]ShardResult, len(jobs))
 	for i, j := range jobs {
 		results[i] = j.res
 	}
@@ -346,58 +328,4 @@ func streamShardKeys(accums map[ShardKey]*shardAccum, spec ShardSpec) []ShardKey
 		}
 	}
 	return keys
-}
-
-func (e *Engine) streamShardResult(ctx context.Context, key ShardKey, a *shardAccum, spec ShardSpec) ShardResult {
-	res := ShardResult{Key: key, Records: a.records}
-	var err error
-	res.Interarrival, err = e.streamStudy(ctx, a.inter, spec)
-	if err != nil {
-		res.Err = fmt.Errorf("shard %s interarrival: %w", key, err)
-		return res
-	}
-	res.Repair, err = e.streamStudy(ctx, a.repair, spec)
-	if err != nil {
-		res.Err = fmt.Errorf("shard %s repair: %w", key, err)
-		return res
-	}
-	return res
-}
-
-// streamStudy is the streaming analogue of study: the summary comes from
-// the one-pass accumulator (exact moments, sketched median) and the fits
-// from its reservoir subsample. A sample below the spec's minimum size
-// yields (nil, nil), matching the in-memory path.
-func (e *Engine) streamStudy(ctx context.Context, acc *streamstats.Accumulator, spec ShardSpec) (*Study, error) {
-	if acc.N() < spec.minN() {
-		return nil, nil
-	}
-	summary, err := acc.Summary()
-	if err != nil {
-		return nil, err
-	}
-	// One interned Sample carries the precomputed transforms through all
-	// four family fits and every bootstrap interval below.
-	s := e.Intern(acc.Sample())
-	fits, err := e.FitAllSample(ctx, s, spec.families()...)
-	if err != nil {
-		return nil, err
-	}
-	st := &Study{N: acc.N(), Summary: summary, Fits: fits}
-	if e.reps < 0 {
-		return st, nil
-	}
-	st.CIs = make(map[dist.Family][]dist.ParamCI)
-	for _, f := range spec.ciFamilies() {
-		r, ok := fits.ByFamily(f)
-		if !ok || r.Err != nil {
-			continue
-		}
-		if _, cis, err := e.FitCISample(ctx, s, f); err == nil {
-			st.CIs[f] = cis
-		} else if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	return st, nil
 }

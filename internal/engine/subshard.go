@@ -30,21 +30,6 @@ import (
 // enumeration order. The workers only decide *when* a value is computed,
 // never *what* it is.
 
-// Grain selects the unit of parallelism for AnalyzeFleet, AnalyzeStream
-// and Incremental.Result.
-type Grain int
-
-const (
-	// GrainSubShard (the default) decomposes shards into per-(sample,
-	// family) fit tasks and per-rep-block bootstrap tasks, so one big
-	// shard spreads across every free worker.
-	GrainSubShard Grain = iota
-	// GrainShard runs one task per shard — the historical decomposition,
-	// kept callable for scheduling comparisons. Output is byte-identical
-	// to GrainSubShard; only the critical path differs.
-	GrainShard
-)
-
 // sampleState is one shard sample (interarrival or repair) after the
 // prepare phase: its size, summary and interned Sample, or the reason it
 // is not studied.
@@ -130,20 +115,6 @@ func (e *Engine) orderJobs(jobs []*shardJob) []*shardJob {
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return ord[a].size > ord[b].size })
 	return ord
-}
-
-// orderIndexes is orderJobs for the GrainShard path: indexes into keys,
-// largest shard first.
-func (e *Engine) orderIndexes(sizes []int) []int {
-	idx := make([]int, len(sizes))
-	for i := range idx {
-		idx[i] = i
-	}
-	if e.enumOrder {
-		return idx
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return sizes[idx[a]] > sizes[idx[b]] })
-	return idx
 }
 
 // fleetShardSizes counts each shard's records in one dataset pass, using
@@ -284,7 +255,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 	}
 
 	// Phase 3: bootstrap intervals. Collect the CI targets assembly will
-	// ask for — same filter as the per-shard study: family requested,
+	// ask for — same filter as assembleStudy: family requested,
 	// fitted, and not already in the memo — then fan the work out in two
 	// wavefronts (plan creation, rep blocks) and merge sequentially.
 	if e.reps >= 0 {
@@ -362,8 +333,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 
 	// Phase 4: assemble per-shard results sequentially in enumeration
 	// order. Every fit and interval is a memo hit now; this phase only
-	// shapes output, replicating the per-shard study semantics exactly
-	// (including: an interarrival error suppresses the repair study).
+	// shapes output (an interarrival error suppresses the repair study).
 	for _, j := range jobs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -387,9 +357,11 @@ func (e *Engine) assembleJob(ctx context.Context, j *shardJob, spec ShardSpec) {
 	}
 }
 
-// assembleStudy is study/streamStudy over a prepared sample state. The
-// fits and intervals were computed by the phases above, so the calls here
-// resolve from the memo.
+// assembleStudy shapes one prepared sample into a Study: summary, ranked
+// comparison and bootstrap intervals for the requested families. A sample
+// below the spec's minimum size yields (nil, nil) — too small to study,
+// not an error. The fits and intervals were computed by the phases above,
+// so the calls here resolve from the memo.
 func (e *Engine) assembleStudy(ctx context.Context, st *sampleState, spec ShardSpec) (*Study, error) {
 	if st.skip {
 		return nil, nil

@@ -107,63 +107,6 @@ func TestDispatchOrderDoesNotAffectOutput(t *testing.T) {
 	}
 }
 
-// TestGrainShardMatchesSubShard proves the two scheduling grains are
-// observationally identical on all three entry points: whole-shard tasks
-// (the historical granularity) and sub-shard tasks merge to the same
-// bytes.
-func TestGrainShardMatchesSubShard(t *testing.T) {
-	d, err := lanl.NewGenerator(lanl.Config{Seed: 3}).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := subShardSpec()
-	ctx := context.Background()
-	mk := func(g Grain) *Engine {
-		return New(Options{Workers: 4, BootstrapReps: 16, Seed: 11, Grain: g})
-	}
-
-	sub, err := mk(GrainSubShard).AnalyzeFleet(ctx, d, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := mk(GrainShard).AnalyzeFleet(ctx, d, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sub, shard) {
-		t.Fatal("fleet: GrainShard result differs from GrainSubShard")
-	}
-
-	recs := d.Records()
-	opts := StreamOptions{Spec: spec}
-	subS, _, err := mk(GrainSubShard).AnalyzeStream(ctx, &sliceSource{recs: recs}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardS, _, err := mk(GrainShard).AnalyzeStream(ctx, &sliceSource{recs: recs}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(subS, shardS) {
-		t.Fatal("stream: GrainShard result differs from GrainSubShard")
-	}
-
-	runInc := func(g Grain) *FleetResult {
-		inc := mk(g).NewIncremental(opts)
-		if _, err := inc.Append(ctx, recs); err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := inc.Result(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if subI, shardI := runInc(GrainSubShard), runInc(GrainShard); !reflect.DeepEqual(subI, shardI) {
-		t.Fatal("incremental: GrainShard result differs from GrainSubShard")
-	}
-}
-
 // TestCISpansTiling checks the rep-block planner: spans must tile
 // [0, reps) contiguously in order, with no empty blocks, for any
 // reps/workers combination.

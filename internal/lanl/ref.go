@@ -15,13 +15,13 @@ import (
 // the pre-kernel fitters: a map-walking, per-record-allocating sequential
 // implementation that serves as the bit-identity oracle. The property
 // tests assert that Generate — at any worker count, with any subset or
-// ablation configuration — reproduces RefGenerate on every record field,
-// and cmd/genbench re-checks the identity on every benchmark run.
+// ablation configuration — reproduces RefGenerate on every record field
+// (TestGenerateMatchesReferenceAcrossSeedsAndWorkers).
 //
 // Do not "improve" this file; its value is that it does not change.
 
 // RefGenerate produces the dataset with the frozen sequential reference
-// path. It exists for identity tests and benchmarks; use
+// path. It exists for identity tests; use
 // NewGenerator(cfg).Generate() for real work — same output, much faster.
 func RefGenerate(cfg Config) (*failures.Dataset, error) {
 	if cfg.RateScale == 0 {

@@ -92,10 +92,7 @@ func (w *wal) close() error { return w.f.Close() }
 // offset. The frame goes out in a single Write so a crash can tear only
 // the final frame, never interleave two.
 func (w *wal) appendBatch(ingestID string, recs []failures.Record) error {
-	payload := appendWALPayload(nil, ingestID, recs)
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
+	frame := walFrame(ingestID, recs)
 	if _, err := w.f.WriteAt(frame, w.offset); err != nil {
 		return err
 	}
@@ -106,6 +103,15 @@ func (w *wal) appendBatch(ingestID string, recs []failures.Record) error {
 	}
 	w.offset += int64(len(frame))
 	return nil
+}
+
+// walFrame encodes one batch as a complete WAL frame: length, CRC and
+// payload.
+func walFrame(ingestID string, recs []failures.Record) []byte {
+	payload := appendWALPayload(nil, ingestID, recs)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
 }
 
 func appendString(buf []byte, s string) []byte {
