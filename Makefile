@@ -6,8 +6,8 @@ GO ?= go
 # over every test, focused race passes over the parallel generator, the
 # daemon, the sweep engine, the binary trace pipeline, the parallel
 # trace codec and the sub-shard analysis pipeline, and short fuzz smokes
-# of the CSV reader, the ingest endpoint, the sweep-spec parser and the
-# binary trace round trip.
+# of the CSV reader, the ingest endpoint, the sweep-spec parser, the
+# binary trace round trip and the incremental-snapshot restore.
 check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz-smoke
 
 vet:
@@ -74,12 +74,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/failures
 
 # A 10-second fuzz pass per target, cheap enough for every check run.
-# go test accepts one -fuzz pattern per invocation, hence two runs.
+# go test accepts one -fuzz pattern per invocation, hence one run each.
+# The snapshot target caps minimization of its multi-kilobyte inputs,
+# which would otherwise spend the whole pass shrinking one input.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s -run=^$$ ./internal/failures
 	$(GO) test -fuzz=FuzzIngestHandler -fuzztime=10s -run=^$$ ./internal/serve
 	$(GO) test -fuzz=FuzzParseSweepSpec -fuzztime=10s -run=^$$ ./internal/sweep
 	$(GO) test -fuzz=FuzzTraceRoundTrip -fuzztime=10s -run=^$$ ./internal/tracefmt
+	$(GO) test -fuzz=FuzzReadIncremental -fuzztime=10s -fuzzminimizetime=2s -run=^$$ ./internal/engine
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -85,7 +85,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	binary, err := sniffBinary(f)
+	binary, err := tracefmt.SniffFile(f)
 	if err != nil {
 		return fmt.Errorf("read %s: %w", *dataPath, err)
 	}
@@ -319,21 +319,6 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// sniffBinary peeks at a trace file's first bytes to decide between the
-// binary and CSV readers, then rewinds, so either format works at any
-// file name.
-func sniffBinary(f *os.File) (bool, error) {
-	var prefix [tracefmt.HeaderLen]byte
-	n, err := io.ReadFull(f, prefix[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return false, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	return tracefmt.SniffMagic(prefix[:n]), nil
-}
-
 // streamFleet is the -stream path: one bounded-memory pass over the trace
 // through the streaming engine without ever building a Dataset. The
 // report is the same fleet table; summaries carry the documented
@@ -346,22 +331,12 @@ func streamFleet(ctx context.Context, eng *engine.Engine, f *os.File, binary boo
 	var src engine.RecordSource
 	var sc *failures.Scanner
 	if binary {
-		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
-			tf, err := tracefmt.NewFile(f, st.Size())
-			if err != nil {
-				return err
-			}
-			ps := tf.ScanParallel(tracefmt.ScanOptions{}, eng.Workers())
-			defer ps.Close()
-			src = ps
-		} else {
-			ps, err := tracefmt.NewScannerParallel(f, tracefmt.ScanOptions{})
-			if err != nil {
-				return err
-			}
-			defer ps.Close()
-			src = ps
+		ps, err := tracefmt.ScanFileParallel(f, eng.Workers())
+		if err != nil {
+			return err
 		}
+		defer ps.Close()
+		src = ps
 	} else {
 		var err error
 		sc, err = failures.NewScanner(f, failures.ReadCSVOptions{SkipMalformed: true})

@@ -76,7 +76,7 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		binary, err := sniffBinary(f)
+		binary, err := tracefmt.SniffFile(f)
 		if err != nil {
 			return fmt.Errorf("read %s: %w", *dataPath, err)
 		}
@@ -379,7 +379,7 @@ func streamFleet(ctx context.Context, eng *engine.Engine, path string, w io.Writ
 		return err
 	}
 	defer f.Close()
-	binary, err := sniffBinary(f)
+	binary, err := tracefmt.SniffFile(f)
 	if err != nil {
 		return err
 	}
@@ -389,19 +389,10 @@ func streamFleet(ctx context.Context, eng *engine.Engine, path string, w io.Writ
 		// Parallel block decode, -workers wide like the engine itself;
 		// results are byte-identical at any worker count because blocks
 		// re-emit in index order.
-		if st, serr := f.Stat(); serr == nil && st.Mode().IsRegular() {
-			var tf *tracefmt.File
-			if tf, err = tracefmt.NewFile(f, st.Size()); err == nil {
-				ps := tf.ScanParallel(tracefmt.ScanOptions{}, eng.Workers())
-				defer ps.Close()
-				src = ps
-			}
-		} else {
-			var ps *tracefmt.ParallelScanner
-			if ps, err = tracefmt.NewScannerParallel(f, tracefmt.ScanOptions{}); err == nil {
-				defer ps.Close()
-				src = ps
-			}
+		var ps *tracefmt.ParallelScanner
+		if ps, err = tracefmt.ScanFileParallel(f, eng.Workers()); err == nil {
+			defer ps.Close()
+			src = ps
 		}
 	} else {
 		sc, err = failures.NewScanner(f, failures.ReadCSVOptions{SkipMalformed: true})
@@ -434,20 +425,6 @@ func streamFleet(ctx context.Context, eng *engine.Engine, path string, w io.Writ
 	}
 	fmt.Fprintln(w)
 	return nil
-}
-
-// sniffBinary peeks at the leading bytes of f and reports whether they
-// carry the binary-trace magic, rewinding f either way.
-func sniffBinary(f *os.File) (bool, error) {
-	var prefix [tracefmt.HeaderLen]byte
-	n, err := io.ReadFull(f, prefix[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return false, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false, err
-	}
-	return tracefmt.SniffMagic(prefix[:n]), nil
 }
 
 func graphicsFailureShare(d *failures.Dataset) float64 {

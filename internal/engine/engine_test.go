@@ -100,16 +100,16 @@ func TestAnalyzeFleetDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(1)
+	one := run(1)
 	par := run(4)
-	if len(seq.Shards) != len(par.Shards) {
-		t.Fatalf("shard count %d vs %d", len(seq.Shards), len(par.Shards))
+	if len(one.Shards) != len(par.Shards) {
+		t.Fatalf("shard count %d vs %d", len(one.Shards), len(par.Shards))
 	}
-	if !reflect.DeepEqual(seq, par) {
-		for i := range seq.Shards {
-			if !reflect.DeepEqual(seq.Shards[i], par.Shards[i]) {
+	if !reflect.DeepEqual(one, par) {
+		for i := range one.Shards {
+			if !reflect.DeepEqual(one.Shards[i], par.Shards[i]) {
 				t.Errorf("shard %d (%s) differs between 1 and 4 workers",
-					i, seq.Shards[i].Key)
+					i, one.Shards[i].Key)
 			}
 		}
 		t.Fatal("fleet results differ between 1 and 4 workers")
@@ -198,15 +198,30 @@ func TestShardOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := buildShards(d, ShardSpec{IncludeFleet: true, ByCause: true})
+	res, err := New(Options{Workers: 2, BootstrapReps: -1}).AnalyzeFleet(context.Background(), d,
+		ShardSpec{IncludeFleet: true, ByCause: true, Families: []dist.Family{dist.FamilyExponential}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]ShardKey, len(res.Shards))
+	for i, s := range res.Shards {
+		keys[i] = s.Key
+	}
 	if keys[0] != (ShardKey{}) {
 		t.Fatalf("first shard %v, want fleet aggregate", keys[0])
 	}
-	lastSystem := 0
+	prev := keys[0]
 	for _, k := range keys[1:] {
-		if k.System < lastSystem {
-			t.Fatalf("shard %v out of order after system %d", k, lastSystem)
+		switch {
+		case k.Cause == 0 && k.System <= prev.System:
+			t.Fatalf("system shard %v does not ascend after %v", k, prev)
+		case k.Cause != 0 && (k.System != prev.System || (prev.Cause != 0 && k.Cause >= prev.Cause)):
+			// Causes() lists Hardware first: its order is descending.
+			t.Fatalf("cause shard %v out of order after %v", k, prev)
 		}
-		lastSystem = k.System
+		prev = k
+	}
+	if d.Len() != res.Shards[0].Records {
+		t.Fatalf("fleet shard holds %d records, dataset %d", res.Shards[0].Records, d.Len())
 	}
 }

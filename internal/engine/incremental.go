@@ -24,7 +24,7 @@ import (
 //     sequence would build — same shards, same accumulators bit for bit.
 //
 //   - Lazy, memoized refresh: appends only fold accumulators (cheap, no
-//     fitting) and mark the touched shards dirty; Result refits dirty
+//     fitting) and mark the folded shards dirty; Result refits dirty
 //     shards only, reusing the engine's fit/CI memo, and serves clean
 //     shards from the per-shard cache.
 //
@@ -35,20 +35,12 @@ import (
 // Incremental is safe for concurrent Append and Result calls. Construct
 // with Engine.NewIncremental or restore one with Engine.ReadIncremental.
 type Incremental struct {
-	eng  *Engine
-	opts StreamOptions
-
-	mu         sync.Mutex
-	accums     map[ShardKey]*shardAccum
-	seq        map[ShardKey]uint64 // bumped on every fold into the shard
-	cache      map[ShardKey]cachedShard
-	records    int
-	outOfOrder int
-}
-
-type cachedShard struct {
-	res ShardResult
-	seq uint64
+	mu sync.Mutex
+	shardTable
+	// cache holds each shard's last computed result. A shard's record
+	// count grows with every fold into it, so an entry is fresh exactly
+	// when its Records equals the shard's current count.
+	cache map[ShardKey]ShardResult
 }
 
 // NewIncremental builds an empty incremental analysis with the given
@@ -56,79 +48,28 @@ type cachedShard struct {
 // exactly as in AnalyzeStream, so two incrementals fed the same record
 // sequence under engines with equal options are bit-identical.
 func (e *Engine) NewIncremental(opts StreamOptions) *Incremental {
-	return &Incremental{
-		eng:    e,
-		opts:   opts,
-		accums: make(map[ShardKey]*shardAccum),
-		seq:    make(map[ShardKey]uint64),
-		cache:  make(map[ShardKey]cachedShard),
-	}
-}
-
-// Options echoes the stream options the incremental was built with.
-func (inc *Incremental) Options() StreamOptions { return inc.opts }
-
-// fold sends one record through the same shard fanout as AnalyzeStream.
-// Callers hold inc.mu.
-func (inc *Incremental) fold(r failures.Record) error {
-	keys, n := shardKeysFor(inc.opts.Spec, &r)
-	for _, key := range keys[:n] {
-		a, ok := inc.accums[key]
-		if !ok {
-			var err error
-			if a, err = inc.eng.newShardAccum(key, inc.opts); err != nil {
-				return err
-			}
-			inc.accums[key] = a
-		}
-		before := a.outOfOrder
-		a.add(&r)
-		inc.outOfOrder += a.outOfOrder - before
-		inc.seq[key]++
-	}
-	inc.records++
-	return nil
+	return &Incremental{shardTable: e.newShardTable(opts), cache: make(map[ShardKey]ShardResult)}
 }
 
 // Append folds a batch of records, in order, and reports how many were
 // folded. Cancellation is checked between records: on ctx.Err the fold
 // stops cleanly mid-batch — every record up to the returned count is
-// fully folded into all of its shards, none beyond it is touched, and
+// fully folded into all of its shards, none beyond it is folded, and
 // the accumulators stay consistent and mergeable — so a caller can
-// resume with the unfolded tail.
+// resume with the unfolded tail. An invalid record stops the batch the
+// same way, with an error naming it.
 func (inc *Incremental) Append(ctx context.Context, recs []failures.Record) (int, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	for i, r := range recs {
+	for i := range recs {
 		if err := ctx.Err(); err != nil {
 			return i, err
 		}
-		if err := inc.fold(r); err != nil {
-			return i, fmt.Errorf("engine incremental append: %w", err)
+		if err := inc.fold(&recs[i]); err != nil {
+			return i, fmt.Errorf("engine incremental append: record %d: %w", i, err)
 		}
 	}
 	return len(recs), nil
-}
-
-// AppendSource folds records from a RecordSource until it is exhausted,
-// an error occurs, or ctx is cancelled, returning the folded count.
-func (inc *Incremental) AppendSource(ctx context.Context, src RecordSource) (int, error) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	n := 0
-	for src.Scan() {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		if err := inc.fold(src.Record()); err != nil {
-			return n, fmt.Errorf("engine incremental append: %w", err)
-		}
-		n++
-	}
-	if err := src.Err(); err != nil {
-		return n, fmt.Errorf("engine incremental append: %w", err)
-	}
-	return n, nil
 }
 
 // Records returns the total number of records folded so far.
@@ -143,77 +84,52 @@ func (inc *Incremental) Records() int {
 func (inc *Incremental) Info() StreamInfo {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return inc.infoLocked()
-}
-
-func (inc *Incremental) infoLocked() StreamInfo {
-	info := StreamInfo{
-		RecordsScanned: inc.records,
-		OutOfOrder:     inc.outOfOrder,
-		SketchEpsilon:  inc.opts.SketchEpsilon,
-		ReservoirSize:  inc.opts.ReservoirSize,
-	}
-	if info.SketchEpsilon <= 0 {
-		info.SketchEpsilon = streamstats.DefaultSketchEpsilon
-	}
-	if info.ReservoirSize <= 0 {
-		info.ReservoirSize = streamstats.DefaultReservoirSize
-	}
-	return info
+	return inc.info()
 }
 
 // Result returns the analysis of everything appended so far, in the
-// canonical shard order. Shards untouched since the last Result are
+// canonical shard order. Shards unchanged since the last Result are
 // served from cache; dirty shards are frozen under the lock and refitted
 // outside it on the engine's worker pool. The result is a consistent
 // point-in-time view: records appended after Result starts do not leak
 // into it. Calling Result with nothing appended returns
 // failures.ErrNoRecords, matching AnalyzeStream.
 func (inc *Incremental) Result(ctx context.Context) (*FleetResult, *StreamInfo, error) {
-	type job struct {
-		i   int
-		key ShardKey
-		acc *shardAccum
-		seq uint64
-	}
-
 	inc.mu.Lock()
 	if inc.records == 0 {
 		inc.mu.Unlock()
 		return nil, nil, fmt.Errorf("engine incremental result: %w", failures.ErrNoRecords)
 	}
-	keys := streamShardKeys(inc.accums, inc.opts.Spec)
+	keys := shardOrder(inc.accums, inc.opts.Spec)
 	out := make([]ShardResult, len(keys))
-	var jobs []job
+	var dirty []int
+	var jobs []*shardJob
 	for i, key := range keys {
-		if c, ok := inc.cache[key]; ok && c.seq == inc.seq[key] {
-			out[i] = c.res
+		a := inc.accums[key]
+		if c, ok := inc.cache[key]; ok && c.Records == a.records {
+			out[i] = c
 			continue
 		}
-		jobs = append(jobs, job{i: i, key: key, acc: inc.accums[key].freeze(), seq: inc.seq[key]})
+		dirty = append(dirty, i)
+		jobs = append(jobs, &shardJob{key: key, size: a.records, acc: a.freeze()})
 	}
-	info := inc.infoLocked()
+	info := inc.info()
 	inc.mu.Unlock()
 
 	// Fit the dirty shards outside the lock, over the same sub-shard
 	// pipeline the one-shot paths use, largest dirty shard first.
-	sjobs := make([]*shardJob, len(jobs))
-	for j := range jobs {
-		sjobs[j] = &shardJob{pos: jobs[j].i, key: jobs[j].key, size: jobs[j].acc.records, acc: jobs[j].acc}
-	}
-	if err := inc.eng.analyzeJobs(ctx, sjobs, nil, inc.opts.Spec); err != nil {
+	res, err := inc.eng.analyzeJobs(ctx, jobs, nil, inc.opts.Spec)
+	if err != nil {
 		return nil, nil, err
-	}
-	for j := range jobs {
-		out[jobs[j].i] = sjobs[j].res
 	}
 
 	// Publish to the cache. A concurrent Result may have computed a
 	// fresher view of the same shard; only ever replace older entries.
 	inc.mu.Lock()
-	for _, j := range jobs {
-		if cur, ok := inc.cache[j.key]; !ok || cur.seq < j.seq {
-			inc.cache[j.key] = cachedShard{res: out[j.i], seq: j.seq}
+	for j, i := range dirty {
+		out[i] = res[j]
+		if cur, ok := inc.cache[keys[i]]; !ok || cur.Records < res[j].Records {
+			inc.cache[keys[i]] = res[j]
 		}
 	}
 	inc.mu.Unlock()
@@ -238,7 +154,7 @@ type ShardRate struct {
 func (inc *Incremental) Rates() []ShardRate {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	keys := streamShardKeys(inc.accums, inc.opts.Spec)
+	keys := shardOrder(inc.accums, inc.opts.Spec)
 	rates := make([]ShardRate, 0, len(keys))
 	for _, key := range keys {
 		a := inc.accums[key]
@@ -300,9 +216,9 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(inc.opts.SketchEpsilon))
 	buf = binary.AppendVarint(buf, int64(inc.opts.ReservoirSize))
 	buf = binary.AppendUvarint(buf, uint64(inc.records))
-	buf = binary.AppendUvarint(buf, uint64(inc.outOfOrder))
+	buf = binary.AppendUvarint(buf, uint64(inc.info().OutOfOrder))
 
-	keys := streamShardKeys(inc.accums, spec)
+	keys := shardOrder(inc.accums, spec)
 	if len(keys) != len(inc.accums) {
 		return fmt.Errorf("engine incremental snapshot: %d shards enumerate as %d", len(inc.accums), len(keys))
 	}
@@ -334,165 +250,141 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 	return err
 }
 
-// incReader decodes the snapshot byte stream with bounds checking.
+// incReader decodes the snapshot byte stream with bounds checking. The
+// first malformed field poisons it: later reads return zero values, and
+// the caller checks err before acting on what it read.
 type incReader struct {
 	buf []byte
+	err error
 }
 
-func (r *incReader) take(n int) ([]byte, error) {
-	if n < 0 || len(r.buf) < n {
-		return nil, fmt.Errorf("%w: truncated", ErrIncSnapshot)
+func (r *incReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrIncSnapshot, what)
+	}
+	r.buf = nil
+}
+
+func (r *incReader) take(n uint64) []byte {
+	if n > uint64(len(r.buf)) {
+		r.fail("truncated")
+		return nil
 	}
 	b := r.buf[:n]
 	r.buf = r.buf[n:]
-	return b, nil
+	return b
 }
 
-func (r *incReader) uvarint() (uint64, error) {
+func (r *incReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrIncSnapshot)
+		r.fail("bad uvarint")
+		return 0
 	}
 	r.buf = r.buf[n:]
-	return v, nil
+	return v
 }
 
-func (r *incReader) varint() (int64, error) {
+func (r *incReader) varint() int64 {
 	v, n := binary.Varint(r.buf)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", ErrIncSnapshot)
+		r.fail("bad varint")
+		return 0
 	}
 	r.buf = r.buf[n:]
-	return v, nil
+	return v
 }
 
-func (r *incReader) time() (time.Time, error) {
-	sec, err := r.varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	nsec, err := r.uvarint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	return time.Unix(sec, int64(nsec)).UTC(), nil
+func (r *incReader) time() time.Time {
+	sec := r.varint()
+	return time.Unix(sec, int64(r.uvarint())).UTC()
 }
 
 // ReadIncremental restores a WriteSnapshot blob into a fresh incremental
 // bound to e. The snapshot's stream options must match opts
 // (ErrIncMismatch otherwise): the restored accumulators were built under
-// those options, and future folds must keep using them.
+// those options, and future folds must keep using them. Counts that
+// disagree with each other are corrupt (ErrIncSnapshot).
 func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental, error) {
 	data, err := io.ReadAll(rd)
 	if err != nil {
 		return nil, fmt.Errorf("engine read incremental: %w", err)
 	}
 	r := incReader{buf: data}
-	magic, err := r.take(len(incMagic))
-	if err != nil {
-		return nil, err
-	}
-	if [8]byte(magic) != incMagic {
+	if magic := r.take(uint64(len(incMagic))); r.err == nil && [8]byte(magic) != incMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrIncSnapshot, magic)
 	}
-	flagsB, err := r.take(1)
-	if err != nil {
-		return nil, err
+	flags := r.take(1)
+	eps := r.take(8)
+	size := r.varint()
+	if r.err != nil {
+		return nil, r.err
 	}
-	flags := flagsB[0]
 	spec := opts.Spec
-	if spec.IncludeFleet != (flags&1 != 0) || spec.ByWorkload != (flags&2 != 0) || spec.ByCause != (flags&4 != 0) {
+	if spec.IncludeFleet != (flags[0]&1 != 0) || spec.ByWorkload != (flags[0]&2 != 0) || spec.ByCause != (flags[0]&4 != 0) {
 		return nil, fmt.Errorf("%w: sharding flags %03b vs spec {fleet=%t workload=%t cause=%t}",
-			ErrIncMismatch, flags, spec.IncludeFleet, spec.ByWorkload, spec.ByCause)
+			ErrIncMismatch, flags[0], spec.IncludeFleet, spec.ByWorkload, spec.ByCause)
 	}
-	epsB, err := r.take(8)
-	if err != nil {
-		return nil, err
+	if bits := binary.LittleEndian.Uint64(eps); bits != math.Float64bits(opts.SketchEpsilon) {
+		return nil, fmt.Errorf("%w: sketch epsilon %g vs %g", ErrIncMismatch, math.Float64frombits(bits), opts.SketchEpsilon)
 	}
-	if eps := math.Float64frombits(binary.LittleEndian.Uint64(epsB)); math.Float64bits(eps) != math.Float64bits(opts.SketchEpsilon) {
-		return nil, fmt.Errorf("%w: sketch epsilon %g vs %g", ErrIncMismatch, eps, opts.SketchEpsilon)
-	}
-	size, err := r.varint()
-	if err != nil {
-		return nil, err
-	}
-	if int(size) != opts.ReservoirSize {
+	if size != int64(opts.ReservoirSize) {
 		return nil, fmt.Errorf("%w: reservoir size %d vs %d", ErrIncMismatch, size, opts.ReservoirSize)
 	}
 
 	inc := e.NewIncremental(opts)
-	records, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	outOfOrder, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	records := r.uvarint()
+	outOfOrder := r.uvarint()
 	inc.records = int(records)
-	inc.outOfOrder = int(outOfOrder)
-	shards, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < shards; i++ {
-		system, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		workload, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		cause, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		key := ShardKey{System: int(system), Workload: failures.Workload(workload), Cause: failures.RootCause(cause)}
-		if _, dup := inc.accums[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate shard %s", ErrIncSnapshot, key)
-		}
-		a := &shardAccum{}
-		recs, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		ooo, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		a.records, a.outOfOrder = int(recs), int(ooo)
-		haveB, err := r.take(1)
-		if err != nil {
-			return nil, err
-		}
-		if a.haveLast = haveB[0] != 0; a.haveLast {
-			if a.firstStart, err = r.time(); err != nil {
-				return nil, err
-			}
-			if a.lastStart, err = r.time(); err != nil {
-				return nil, err
-			}
+	shards := r.uvarint()
+	for i := uint64(0); i < shards && r.err == nil; i++ {
+		key := ShardKey{System: int(r.varint()), Workload: failures.Workload(r.uvarint()), Cause: failures.RootCause(r.uvarint())}
+		a := &shardAccum{records: int(r.uvarint()), outOfOrder: int(r.uvarint())}
+		if have := r.take(1); r.err == nil && have[0] != 0 {
+			a.haveLast = true
+			a.firstStart, a.lastStart = r.time(), r.time()
 		}
 		for _, accp := range []**streamstats.Accumulator{&a.inter, &a.repair} {
-			n, err := r.uvarint()
-			if err != nil {
-				return nil, err
+			b := r.take(r.uvarint())
+			if r.err != nil {
+				break
 			}
-			b, err := r.take(int(n))
-			if err != nil {
-				return nil, err
-			}
-			acc := &streamstats.Accumulator{}
-			if err := acc.UnmarshalBinary(b); err != nil {
+			*accp = &streamstats.Accumulator{}
+			if err := (*accp).UnmarshalBinary(b); err != nil {
 				return nil, fmt.Errorf("engine read incremental shard %s: %w", key, err)
 			}
-			*accp = acc
+		}
+		if _, dup := inc.accums[key]; dup {
+			r.fail(fmt.Sprintf("duplicate shard %s", key))
 		}
 		inc.accums[key] = a
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
 	if len(r.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrIncSnapshot, len(r.buf))
+	}
+	if keys := shardOrder(inc.accums, spec); len(keys) != len(inc.accums) {
+		return nil, fmt.Errorf("%w: %d shards, %d enumerate under the spec", ErrIncSnapshot, len(inc.accums), len(keys))
+	}
+	// Every record folds into exactly one system shard, and each shard's
+	// samples come from its own records.
+	var systemRecords uint64
+	for key, a := range inc.accums {
+		if a.inter.N() >= max(a.records, 1) || a.repair.N() > a.records {
+			return nil, fmt.Errorf("%w: shard %s holds %d records, %d interarrivals, %d repairs",
+				ErrIncSnapshot, key, a.records, a.inter.N(), a.repair.N())
+		}
+		if key.System != 0 && key.Workload == 0 && key.Cause == 0 {
+			systemRecords += uint64(a.records)
+		}
+	}
+	if systemRecords != records {
+		return nil, fmt.Errorf("%w: header counts %d records, system shards hold %d", ErrIncSnapshot, records, systemRecords)
+	}
+	if sum := inc.info().OutOfOrder; uint64(sum) != outOfOrder {
+		return nil, fmt.Errorf("%w: header counts %d out-of-order records, shards sum to %d", ErrIncSnapshot, outOfOrder, sum)
 	}
 	return inc, nil
 }

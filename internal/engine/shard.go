@@ -169,34 +169,6 @@ func (r *FleetResult) Shard(key ShardKey) (ShardResult, bool) {
 	return ShardResult{}, false
 }
 
-// buildShards enumerates the shard keys of a dataset under a spec in a
-// deterministic order.
-func buildShards(d *failures.Dataset, spec ShardSpec) []ShardKey {
-	var keys []ShardKey
-	if spec.IncludeFleet {
-		keys = append(keys, ShardKey{})
-	}
-	for _, id := range d.Systems() {
-		keys = append(keys, ShardKey{System: id})
-		sub := d.BySystem(id)
-		if spec.ByWorkload {
-			for _, w := range failures.Workloads() {
-				if sub.ByWorkload(w).Len() > 0 {
-					keys = append(keys, ShardKey{System: id, Workload: w})
-				}
-			}
-		}
-		if spec.ByCause {
-			for _, c := range failures.Causes() {
-				if sub.ByCause(c).Len() > 0 {
-					keys = append(keys, ShardKey{System: id, Cause: c})
-				}
-			}
-		}
-	}
-	return keys
-}
-
 // slice filters the dataset down to one shard.
 func slice(d *failures.Dataset, key ShardKey) *failures.Dataset {
 	return d.Filter(func(r failures.Record) bool {
@@ -224,18 +196,25 @@ func (e *Engine) AnalyzeFleet(ctx context.Context, d *failures.Dataset, spec Sha
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("engine analyze fleet: %w", failures.ErrNoRecords)
 	}
-	keys := buildShards(d, spec)
-	sizes := fleetShardSizes(d, keys, spec)
+	// Count each shard's records through the streaming fold's fanout;
+	// the counts name the shards present and order the dispatch, and
+	// never influence a result.
+	sizes := make(map[ShardKey]int)
+	for i := 0; i < d.Len(); i++ {
+		r := d.At(i)
+		keys, n := shardKeysFor(spec, &r)
+		for _, k := range keys[:n] {
+			sizes[k]++
+		}
+	}
+	keys := shardOrder(sizes, spec)
 	jobs := make([]*shardJob, len(keys))
 	for i, key := range keys {
-		jobs[i] = &shardJob{pos: i, key: key, size: sizes[i]}
+		jobs[i] = &shardJob{key: key, size: sizes[key]}
 	}
-	if err := e.analyzeJobs(ctx, jobs, d, spec); err != nil {
+	results, err := e.analyzeJobs(ctx, jobs, d, spec)
+	if err != nil {
 		return nil, err
-	}
-	results := make([]ShardResult, len(jobs))
-	for i, j := range jobs {
-		results[i] = j.res
 	}
 	return &FleetResult{Shards: results}, nil
 }

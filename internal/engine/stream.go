@@ -145,8 +145,7 @@ func (a *shardAccum) add(r *failures.Record) {
 
 // shardKeysFor enumerates the shards one record belongs to under a spec:
 // its system shard always, plus the optional fleet aggregate, workload
-// and cause sub-shards. Shared by the one-shot streaming pass and the
-// incremental engine so both fold records identically.
+// and cause sub-shards.
 // The record is passed by pointer on purpose: this is the per-record hot
 // path, and a failures.Record is over a hundred bytes — copying it into
 // every helper showed up as measurable duffcopy time in profiles.
@@ -166,6 +165,112 @@ func shardKeysFor(spec ShardSpec, r *failures.Record) ([4]ShardKey, int) {
 		n++
 	}
 	return keys, n
+}
+
+// shardTable is the streaming fold shared by AnalyzeStream and
+// Incremental: the per-shard accumulators and the count of records
+// folded into them. Both paths fold through the same code, so a one-shot
+// pass and a sequence of appends over the same records build the same
+// state bit for bit.
+type shardTable struct {
+	eng     *Engine
+	opts    StreamOptions
+	accums  map[ShardKey]*shardAccum
+	records int
+}
+
+func (e *Engine) newShardTable(opts StreamOptions) shardTable {
+	return shardTable{eng: e, opts: opts, accums: make(map[ShardKey]*shardAccum)}
+}
+
+// fold validates one record and fans it out to every shard it belongs
+// to. Validation comes first: a zero system, workload or cause would
+// make the record's sub-shard keys alias its fleet or system shard and
+// fold it twice, so such a record is refused and folds nowhere.
+func (t *shardTable) fold(r *failures.Record) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	keys, n := shardKeysFor(t.opts.Spec, r)
+	for _, key := range keys[:n] {
+		a, ok := t.accums[key]
+		if !ok {
+			var err error
+			if a, err = t.eng.newShardAccum(key, t.opts); err != nil {
+				return err
+			}
+			t.accums[key] = a
+		}
+		a.add(r)
+	}
+	t.records++
+	return nil
+}
+
+// foldSource folds src to its end, checking ctx every 4096 records. A
+// BatchSource is drained a decoded block at a time — records are
+// addressed by pointer into the batch, so a block of 8192 records costs
+// one ScanBatch call instead of 8192 Scan/Record round trips. The fold
+// stays sequential and in record order either way, so every accumulator
+// sees the same inputs from both paths.
+func (t *shardTable) foldSource(ctx context.Context, src RecordSource) error {
+	if bs, ok := src.(BatchSource); ok {
+		for {
+			batch, err := bs.ScanBatch()
+			if err != nil {
+				return err
+			}
+			if batch == nil {
+				return src.Err()
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			for i := range batch {
+				if t.records%4096 == 0 && i > 0 {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+				}
+				if err := t.fold(&batch[i]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for src.Scan() {
+		if t.records%4096 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		r := src.Record()
+		if err := t.fold(&r); err != nil {
+			return err
+		}
+	}
+	return src.Err()
+}
+
+// info reports the table's stream bookkeeping with the effective
+// sketch and reservoir configuration. OutOfOrder sums the shards'
+// counts, so a record out of order in several shards counts in each.
+func (t *shardTable) info() StreamInfo {
+	info := StreamInfo{
+		RecordsScanned: t.records,
+		SketchEpsilon:  t.opts.SketchEpsilon,
+		ReservoirSize:  t.opts.ReservoirSize,
+	}
+	for _, a := range t.accums {
+		info.OutOfOrder += a.outOfOrder
+	}
+	if info.SketchEpsilon <= 0 {
+		info.SketchEpsilon = streamstats.DefaultSketchEpsilon
+	}
+	if info.ReservoirSize <= 0 {
+		info.ReservoirSize = streamstats.DefaultReservoirSize
+	}
+	return info
 }
 
 // AnalyzeStream is the bounded-memory counterpart of AnalyzeFleet: it
@@ -188,117 +293,37 @@ func shardKeysFor(spec ShardSpec, r *failures.Record) ([4]ShardKey, int) {
 // Interarrival studies assume src yields records in start-time order; see
 // StreamInfo.OutOfOrder.
 func (e *Engine) AnalyzeStream(ctx context.Context, src RecordSource, opts StreamOptions) (*FleetResult, *StreamInfo, error) {
-	spec := opts.Spec
-	accums := make(map[ShardKey]*shardAccum)
-	info := &StreamInfo{
-		SketchEpsilon: opts.SketchEpsilon,
-		ReservoirSize: opts.ReservoirSize,
-	}
-	if info.SketchEpsilon <= 0 {
-		info.SketchEpsilon = streamstats.DefaultSketchEpsilon
-	}
-	if info.ReservoirSize <= 0 {
-		info.ReservoirSize = streamstats.DefaultReservoirSize
-	}
-
-	touch := func(key ShardKey, r *failures.Record) error {
-		a, ok := accums[key]
-		if !ok {
-			var err error
-			if a, err = e.newShardAccum(key, opts); err != nil {
-				return err
-			}
-			accums[key] = a
+	t := e.newShardTable(opts)
+	if err := t.foldSource(ctx, src); err != nil {
+		if err == ctx.Err() {
+			return nil, nil, err
 		}
-		a.add(r)
-		return nil
-	}
-
-	if bs, ok := src.(BatchSource); ok {
-		// Batched fan-in: fold each decoded block in place — records are
-		// addressed by pointer into the batch, so a block of 8192 records
-		// costs one ScanBatch call instead of 8192 Scan/Record round
-		// trips. The fold itself stays sequential, in record order, so
-		// every accumulator sees exactly the per-record path's inputs.
-		for {
-			batch, err := bs.ScanBatch()
-			if err != nil {
-				return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
-			}
-			if batch == nil {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			for i := range batch {
-				if info.RecordsScanned%4096 == 0 && i > 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, nil, err
-					}
-				}
-				r := &batch[i]
-				info.RecordsScanned++
-				keys, n := shardKeysFor(spec, r)
-				for _, key := range keys[:n] {
-					if err := touch(key, r); err != nil {
-						return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
-					}
-				}
-			}
-		}
-	} else {
-		for src.Scan() {
-			if info.RecordsScanned%4096 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, err
-				}
-			}
-			r := src.Record()
-			info.RecordsScanned++
-			keys, n := shardKeysFor(spec, &r)
-			for _, key := range keys[:n] {
-				if err := touch(key, &r); err != nil {
-					return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
-				}
-			}
-		}
-	}
-	if err := src.Err(); err != nil {
 		return nil, nil, fmt.Errorf("engine analyze stream: %w", err)
 	}
-	if info.RecordsScanned == 0 {
+	if t.records == 0 {
 		return nil, nil, fmt.Errorf("engine analyze stream: %w", failures.ErrNoRecords)
 	}
-	for _, a := range accums {
-		info.OutOfOrder += a.outOfOrder
-	}
-
-	// Enumerate shard keys exactly as buildShards does on a materialized
-	// dataset, so the merged output is ordered identically to
-	// AnalyzeFleet's at any worker count.
-	keys := streamShardKeys(accums, spec)
+	info := t.info()
+	keys := shardOrder(t.accums, opts.Spec)
 	jobs := make([]*shardJob, len(keys))
 	for i, key := range keys {
-		a := accums[key]
-		jobs[i] = &shardJob{pos: i, key: key, size: a.records, acc: a}
+		a := t.accums[key]
+		jobs[i] = &shardJob{key: key, size: a.records, acc: a}
 	}
-	if err := e.analyzeJobs(ctx, jobs, nil, spec); err != nil {
+	results, err := e.analyzeJobs(ctx, jobs, nil, opts.Spec)
+	if err != nil {
 		return nil, nil, err
 	}
-	results := make([]ShardResult, len(jobs))
-	for i, j := range jobs {
-		results[i] = j.res
-	}
-	return &FleetResult{Shards: results}, info, nil
+	return &FleetResult{Shards: results}, &info, nil
 }
 
-// streamShardKeys orders the touched shards: fleet aggregate first, then
-// systems ascending, each followed by its workload shards (in Workloads()
-// order) and cause shards (in Causes() order) — the buildShards order.
-func streamShardKeys(accums map[ShardKey]*shardAccum, spec ShardSpec) []ShardKey {
+// shardOrder enumerates the shards present in m in the canonical order
+// every analysis path reports: fleet aggregate first, then systems
+// ascending, each followed by its workload shards (in Workloads()
+// order) and cause shards (in Causes() order).
+func shardOrder[V any](m map[ShardKey]V, spec ShardSpec) []ShardKey {
 	var systems []int
-	for key := range accums {
+	for key := range m {
 		if key.System != 0 && key.Workload == 0 && key.Cause == 0 {
 			systems = append(systems, key.System)
 		}
@@ -306,7 +331,7 @@ func streamShardKeys(accums map[ShardKey]*shardAccum, spec ShardSpec) []ShardKey
 	sort.Ints(systems)
 	var keys []ShardKey
 	if spec.IncludeFleet {
-		if _, ok := accums[ShardKey{}]; ok {
+		if _, ok := m[ShardKey{}]; ok {
 			keys = append(keys, ShardKey{})
 		}
 	}
@@ -314,14 +339,14 @@ func streamShardKeys(accums map[ShardKey]*shardAccum, spec ShardSpec) []ShardKey
 		keys = append(keys, ShardKey{System: id})
 		if spec.ByWorkload {
 			for _, w := range failures.Workloads() {
-				if _, ok := accums[ShardKey{System: id, Workload: w}]; ok {
+				if _, ok := m[ShardKey{System: id, Workload: w}]; ok {
 					keys = append(keys, ShardKey{System: id, Workload: w})
 				}
 			}
 		}
 		if spec.ByCause {
 			for _, c := range failures.Causes() {
-				if _, ok := accums[ShardKey{System: id, Cause: c}]; ok {
+				if _, ok := m[ShardKey{System: id, Cause: c}]; ok {
 					keys = append(keys, ShardKey{System: id, Cause: c})
 				}
 			}

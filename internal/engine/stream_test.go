@@ -163,7 +163,7 @@ func TestAnalyzeStreamDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return res
 	}
-	if seq, par := run(1), run(4); !reflect.DeepEqual(seq, par) {
+	if one, par := run(1), run(4); !reflect.DeepEqual(one, par) {
 		t.Fatal("stream results differ between 1 and 4 workers")
 	}
 }
@@ -296,5 +296,32 @@ func TestAnalyzeStreamEdgeCases(t *testing.T) {
 	}
 	if info.SketchEpsilon != streamstats.DefaultSketchEpsilon || info.ReservoirSize != streamstats.DefaultReservoirSize {
 		t.Fatalf("defaults not echoed: %+v", info)
+	}
+
+	// A zero workload or cause makes the record's sub-shard key equal its
+	// system shard's key (and a zero system its fleet key), which would
+	// fold it twice. Such records are refused on every fold path, batched
+	// or not, one-shot or incremental — the rule ReadDataset applies.
+	spec := ShardSpec{IncludeFleet: true, ByWorkload: true, ByCause: true, MinN: 1}
+	for _, zero := range []func(*failures.Record){
+		func(r *failures.Record) { r.Workload = 0 },
+		func(r *failures.Record) { r.Cause = 0 },
+		func(r *failures.Record) { r.System = 0 },
+	} {
+		recs := []failures.Record{mk(0), mk(30), mk(60)}
+		zero(&recs[1])
+		for _, src := range []RecordSource{
+			&sliceSource{recs: recs},
+			&batchSource{sliceSource: sliceSource{recs: recs}, batchN: 2},
+		} {
+			if res, info, err := eng.AnalyzeStream(ctx, src, StreamOptions{Spec: spec}); err == nil {
+				fleet, _ := res.Shard(ShardKey{})
+				t.Fatalf("invalid record %+v folded: %d scanned, fleet shard %d records", recs[1], info.RecordsScanned, fleet.Records)
+			}
+		}
+		inc := eng.NewIncremental(StreamOptions{Spec: spec})
+		if n, err := inc.Append(ctx, recs); err == nil || n != 1 || inc.Records() != 1 {
+			t.Fatalf("incremental append of invalid record %+v: n=%d records=%d err=%v", recs[1], n, inc.Records(), err)
+		}
 	}
 }

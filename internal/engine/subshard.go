@@ -16,7 +16,7 @@ import (
 //
 // The original pipeline's unit of work was the whole shard: one worker
 // sliced it, fitted every family and ran every bootstrap rep before
-// touching the next shard. Shard sizes in the Schroeder & Gibson trace are
+// starting on the next shard. Shard sizes in the Schroeder & Gibson trace are
 // so skewed (one big system holds a large share of the records) that the
 // big shard alone set the critical path however many workers were free.
 //
@@ -47,7 +47,6 @@ type sampleState struct {
 // dataset path (sub, filled by prepare from d) and the streaming path
 // (acc) applies.
 type shardJob struct {
-	pos  int
 	key  ShardKey
 	size int
 	acc  *shardAccum
@@ -55,7 +54,6 @@ type shardJob struct {
 	records int
 	inter   sampleState
 	repair  sampleState
-	res     ShardResult
 }
 
 // runPhase executes fn(0..n-1) over the engine's bounded worker pool,
@@ -115,25 +113,6 @@ func (e *Engine) orderJobs(jobs []*shardJob) []*shardJob {
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return ord[a].size > ord[b].size })
 	return ord
-}
-
-// fleetShardSizes counts each shard's records in one dataset pass, using
-// the same per-record fanout the streaming path folds with. Sizes only
-// order the dispatch; they never influence a result.
-func fleetShardSizes(d *failures.Dataset, keys []ShardKey, spec ShardSpec) []int {
-	counts := make(map[ShardKey]int, len(keys))
-	for i := 0; i < d.Len(); i++ {
-		r := d.At(i)
-		ks, n := shardKeysFor(spec, &r)
-		for _, k := range ks[:n] {
-			counts[k]++
-		}
-	}
-	sizes := make([]int, len(keys))
-	for i, k := range keys {
-		sizes[i] = counts[k]
-	}
-	return sizes
 }
 
 // prepareJob fills the job's sample states: slice + extract on the
@@ -214,14 +193,15 @@ type ciTarget struct {
 
 // analyzeJobs runs the sub-shard pipeline over the jobs: prepare, point
 // fits, CI plans, counter-seeded rep blocks, then a sequential merge and
-// assembly in enumeration order. It fills each job's res field.
-func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.Dataset, spec ShardSpec) error {
+// assembly in enumeration order. It returns the shard results in job
+// order.
+func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.Dataset, spec ShardSpec) ([]ShardResult, error) {
 	ord := e.orderJobs(jobs)
 
 	// Phase 1: prepare (slice, summarize, intern), largest shard first.
 	e.runPhase(ctx, len(ord), func(i int) { e.prepareJob(ord[i], d, spec) })
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Phase 2: point fits — one task per (sample, family), deduplicated
@@ -251,7 +231,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 	}
 	e.runPhase(ctx, len(fitTasks), func(i int) { e.fitOne(fitTasks[i].s, fitTasks[i].f) })
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Phase 3: bootstrap intervals. Collect the CI targets assembly will
@@ -288,7 +268,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 			t.plan, t.planErr = dist.NewCIPlan(t.f, t.s, e.reps, e.level, e.taskSeed(t.s.Hash(), t.f))
 		})
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 
 		type blockTask struct {
@@ -312,7 +292,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 			bt.t.blocks[bt.b] = bt.t.plan.RunBlock(sp[0], sp[1])
 		})
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 
 		// Merge in rep order and publish through the entry's once, so a
@@ -334,27 +314,32 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 	// Phase 4: assemble per-shard results sequentially in enumeration
 	// order. Every fit and interval is a memo hit now; this phase only
 	// shapes output (an interarrival error suppresses the repair study).
-	for _, j := range jobs {
+	results := make([]ShardResult, len(jobs))
+	for i, j := range jobs {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		e.assembleJob(ctx, j, spec)
+		results[i] = e.assembleJob(ctx, j, spec)
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
-func (e *Engine) assembleJob(ctx context.Context, j *shardJob, spec ShardSpec) {
-	j.res = ShardResult{Key: j.key, Records: j.records}
+func (e *Engine) assembleJob(ctx context.Context, j *shardJob, spec ShardSpec) ShardResult {
+	res := ShardResult{Key: j.key, Records: j.records}
 	var err error
-	j.res.Interarrival, err = e.assembleStudy(ctx, &j.inter, spec)
+	res.Interarrival, err = e.assembleStudy(ctx, &j.inter, spec)
 	if err != nil {
-		j.res.Err = fmt.Errorf("shard %s interarrival: %w", j.key, err)
-		return
+		res.Err = fmt.Errorf("shard %s interarrival: %w", j.key, err)
+		return res
 	}
-	j.res.Repair, err = e.assembleStudy(ctx, &j.repair, spec)
+	res.Repair, err = e.assembleStudy(ctx, &j.repair, spec)
 	if err != nil {
-		j.res.Err = fmt.Errorf("shard %s repair: %w", j.key, err)
+		res.Err = fmt.Errorf("shard %s repair: %w", j.key, err)
 	}
+	return res
 }
 
 // assembleStudy shapes one prepared sample into a Study: summary, ranked

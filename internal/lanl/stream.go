@@ -40,22 +40,7 @@ func (g *Generator) GenerateStream(emit func(failures.Record) error) error {
 			return err
 		}
 	}
-	tasks := g.systemTasks()
-	if g.workers(len(tasks)) == 1 {
-		for _, t := range tasks {
-			records, err := g.generateSystem(t.sys, t.src)
-			if err != nil {
-				return fmt.Errorf("generate system %d: %w", t.sys.ID, err)
-			}
-			for _, r := range records {
-				if err := emit(r); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return g.generateStreamParallel(tasks, emit)
+	return g.generateStreamParallel(g.systemTasks(), emit)
 }
 
 // streamBlock is one system's pending output in the parallel stream.
@@ -69,7 +54,9 @@ type streamBlock struct {
 // fill system blocks while the caller drains them in catalog order. The
 // token semaphore caps how many blocks exist at once (completed but
 // undrained blocks hold their token until consumed), bounding memory at
-// Workers system blocks regardless of trace size.
+// Workers system blocks regardless of trace size. At one worker it
+// generates the systems one after another, the sequence the multi-worker
+// runs must reproduce.
 func (g *Generator) generateStreamParallel(tasks []systemTask, emit func(failures.Record) error) error {
 	w := g.workers(len(tasks))
 	blocks := make([]*streamBlock, len(tasks))

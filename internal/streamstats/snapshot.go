@@ -186,6 +186,11 @@ func readBuckets(r *binReader) (map[int]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each bucket takes at least two bytes, so a count the blob cannot
+	// hold is corrupt — and must not size the map allocation.
+	if n > uint64(len(r.buf)/2) {
+		return nil, fmt.Errorf("%w: %d buckets in %d bytes", ErrSnapshot, n, len(r.buf))
+	}
 	m := make(map[int]uint64, n)
 	for i := uint64(0); i < n; i++ {
 		k, err := r.varint()
@@ -289,6 +294,23 @@ func (r *Reservoir) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing r.
 func (r *Reservoir) UnmarshalBinary(data []byte) error {
+	return r.unmarshal(data, nil)
+}
+
+// maxDrawsPerSeen bounds the generator draws a reservoir can have made
+// per observation and unit of capacity. An Add past capacity makes one
+// generator call; a Merge makes at most two per slot of capacity and
+// adds at least one observation; a call takes more than one draw only
+// on a rejection-sampling retry, which is rare. Restore replays every
+// draw, so this bound is what keeps a corrupt draw count from buying an
+// unbounded replay.
+const maxDrawsPerSeen = 8
+
+// unmarshal decodes a reservoir blob. A non-nil wantSeen is the
+// observation count the enclosing structure recorded; it is checked
+// before the generator replay, like every other count, so the replay
+// cost is bounded by counts that agree with each other.
+func (r *Reservoir) unmarshal(data []byte, wantSeen *uint64) error {
 	br := binReader{buf: data}
 	if err := br.header(reservoirKind); err != nil {
 		return err
@@ -316,8 +338,16 @@ func (r *Reservoir) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if n > capacity || n > seen {
-		return fmt.Errorf("%w: reservoir sample %d exceeds capacity %d or seen %d", ErrSnapshot, n, capacity, seen)
+	// The sample fills to capacity before any replacement draw, and a
+	// merge past capacity refills it to capacity.
+	if n != min(seen, capacity) {
+		return fmt.Errorf("%w: reservoir sample %d, want min(seen %d, capacity %d)", ErrSnapshot, n, seen, capacity)
+	}
+	if wantSeen != nil && seen != *wantSeen {
+		return fmt.Errorf("%w: reservoir saw %d observations, enclosing count %d", ErrSnapshot, seen, *wantSeen)
+	}
+	if draws > 0 && (seen <= capacity || draws/(maxDrawsPerSeen*capacity) > seen) {
+		return fmt.Errorf("%w: %d generator draws for %d observations at capacity %d", ErrSnapshot, draws, seen, capacity)
 	}
 	out := NewReservoir(int(capacity), int64(seed))
 	out.seen = seen
@@ -356,7 +386,10 @@ func (a *Accumulator) UnmarshalBinary(data []byte) error {
 	var out Accumulator
 	out.sketch = &QuantileSketch{}
 	out.res = &Reservoir{}
-	for _, part := range []interface{ UnmarshalBinary([]byte) error }{&out.moments, out.sketch, out.res} {
+	// Every Add and Merge reaches all three parts, so they must agree on
+	// the observation count; the reservoir checks it before its replay.
+	reservoir := func(b []byte) error { return out.res.unmarshal(b, &out.moments.n) }
+	for _, unmarshal := range []func([]byte) error{out.moments.UnmarshalBinary, out.sketch.UnmarshalBinary, reservoir} {
 		n, err := r.uvarint()
 		if err != nil {
 			return err
@@ -365,9 +398,12 @@ func (a *Accumulator) UnmarshalBinary(data []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := part.UnmarshalBinary(b); err != nil {
+		if err := unmarshal(b); err != nil {
 			return err
 		}
+	}
+	if out.sketch.n != out.moments.n {
+		return fmt.Errorf("%w: sketch holds %d observations, moments %d", ErrSnapshot, out.sketch.n, out.moments.n)
 	}
 	if len(r.buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrSnapshot, len(r.buf))

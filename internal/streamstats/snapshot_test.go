@@ -1,6 +1,7 @@
 package streamstats
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -291,5 +292,61 @@ func TestSnapshotCorruptionDetected(t *testing.T) {
 				t.Fatalf("want ErrSnapshot, got %v", err)
 			}
 		})
+	}
+}
+
+// TestSnapshotCountsBoundRestore: a restore replays the reservoir's
+// generator draws and sizes the sketch's bucket maps from the blob, so
+// counts that cannot belong to a real history are rejected before
+// either happens.
+func TestSnapshotCountsBoundRestore(t *testing.T) {
+	r := NewReservoir(4, 1234)
+	for i := 0; i < 1000; i++ {
+		r.Add(float64(i))
+	}
+	blob, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Layout: kind, version, capacity uvarint (one byte for 4), seed,
+	// seen, draws, sample length, sample.
+	const seenOff, drawsOff = 3 + 8, 3 + 16
+	for name, mut := range map[string]func([]byte){
+		"draws beyond any history": func(b []byte) { binary.LittleEndian.PutUint64(b[drawsOff:], 1<<62) },
+		"draws before capacity":    func(b []byte) { binary.LittleEndian.PutUint64(b[seenOff:], 4) },
+		"sample short of capacity": func(b []byte) { binary.LittleEndian.PutUint64(b[seenOff:], 3) },
+	} {
+		bad := append([]byte(nil), blob...)
+		mut(bad)
+		if err := (&Reservoir{}).UnmarshalBinary(bad); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("%s: want ErrSnapshot, got %v", name, err)
+		}
+	}
+
+	sketch := appendHeader(nil, sketchKind)
+	sketch = appendF64(sketch, DefaultSketchEpsilon)
+	for i := 0; i < 5; i++ {
+		sketch = appendU64(sketch, 0)
+	}
+	sketch = binary.AppendUvarint(sketch, 1<<40)
+	if err := (&QuantileSketch{}).UnmarshalBinary(sketch); !errors.Is(err, ErrSnapshot) {
+		t.Errorf("bucket count beyond the blob: want ErrSnapshot, got %v", err)
+	}
+
+	// The three parts of an accumulator must agree on the count.
+	acc := fillAccumulator(t, []float64{1, 2, 3}, 4)
+	other := fillAccumulator(t, []float64{1, 2}, 4)
+	var mixed []byte
+	mixed = appendHeader(mixed, accumulatorKind)
+	for _, part := range []interface{ MarshalBinary() ([]byte, error) }{&acc.moments, other.sketch, acc.res} {
+		b, err := part.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed = binary.AppendUvarint(mixed, uint64(len(b)))
+		mixed = append(mixed, b...)
+	}
+	if err := (&Accumulator{}).UnmarshalBinary(mixed); !errors.Is(err, ErrSnapshot) {
+		t.Errorf("sketch count disagreeing with moments: want ErrSnapshot, got %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package tracefmt
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"hpcfail/internal/failures"
@@ -45,27 +46,20 @@ func OpenFile(path string) (*File, error) {
 // NewFile opens a trace held by any random-access reader of the given
 // size, verifying the header, trailer and footer frame before returning.
 func NewFile(ra io.ReaderAt, size int64) (*File, error) {
-	var hdr [headerSize]byte
 	if size < int64(headerSize+trailerSize) {
 		return nil, fmt.Errorf("%w: %d bytes is too short for a trace file", ErrTruncated, size)
 	}
-	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("tracefmt: read header: %w", err)
-	}
-	if string(hdr[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadMagic, hdr[:len(magic)])
-	}
-	if v := le.Uint16(hdr[len(magic):]); v != Version {
-		return nil, fmt.Errorf("%w: file version %d, reader supports %d", ErrVersion, v, Version)
+	if err := readHeader(io.NewSectionReader(ra, 0, int64(headerSize))); err != nil {
+		return nil, err
 	}
 	var tr [trailerSize]byte
 	if _, err := ra.ReadAt(tr[:], size-int64(trailerSize)); err != nil {
 		return nil, fmt.Errorf("tracefmt: read trailer: %w", err)
 	}
-	if string(tr[8:]) != trailerMagic {
-		return nil, fmt.Errorf("%w: bad trailer magic %q (file truncated or not Closed)", ErrBadMagic, tr[8:])
+	footOff, err := parseTrailer(tr)
+	if err != nil {
+		return nil, err
 	}
-	footOff := int64(le.Uint64(tr[:]))
 	if footOff < int64(headerSize) || footOff >= size-int64(trailerSize) {
 		return nil, fmt.Errorf("%w: footer offset %d outside file", ErrFormat, footOff)
 	}
@@ -142,25 +136,11 @@ func (f *File) parseFooter(p []byte, footOff int64) error {
 
 // readFrameAt reads and CRC-verifies the frame at a file offset.
 func readFrameAt(ra io.ReaderAt, off int64, buf []byte) (byte, []byte, error) {
-	var hdr [frameSize]byte
-	if _, err := ra.ReadAt(hdr[:], off); err != nil {
-		return 0, nil, fmt.Errorf("%w: frame at %d: %v", ErrTruncated, off, err)
+	kind, p, err := readFrame(io.NewSectionReader(ra, off, math.MaxInt64-off), &buf)
+	if err != nil {
+		return 0, nil, fmt.Errorf("frame at %d: %w", off, err)
 	}
-	n := int(le.Uint32(hdr[1:]))
-	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("%w: frame payload %d bytes exceeds the %d cap", ErrFormat, n, maxFramePayload)
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	p := buf[:n]
-	if _, err := ra.ReadAt(p, off+int64(frameSize)); err != nil {
-		return 0, nil, fmt.Errorf("%w: frame body at %d: %v", ErrTruncated, off, err)
-	}
-	if got, want := crc32Checksum(p), le.Uint32(hdr[5:]); got != want {
-		return 0, nil, fmt.Errorf("%w: payload CRC %08x, frame says %08x", ErrChecksum, got, want)
-	}
-	return hdr[0], p, nil
+	return kind, p, nil
 }
 
 // Records returns the total number of records in the trace.
@@ -234,6 +214,6 @@ func (f *File) decodeBlockAt(b BlockInfo, frameBuf []byte, fromN, toInc int64, d
 	if n != b.Records {
 		return dst, p, fmt.Errorf("%w: block at %d holds %d records, index says %d", ErrFormat, b.Offset, n, b.Records)
 	}
-	dst, err = decodeColumns(p, colOff, n, 0, f.hwDict, f.detDict, fromN, toInc, dst)
+	dst, err = decodeColumns(p, colOff, n, f.hwDict, f.detDict, fromN, toInc, dst)
 	return dst, p, err
 }

@@ -1,7 +1,6 @@
 package tracefmt
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -20,9 +19,8 @@ type decBatch struct {
 	ready chan struct{}
 }
 
-// closedChan is the pre-closed ready channel used by producers whose
-// batches are final at publication time (the streaming read-ahead path
-// and error batches).
+// closedChan is the pre-closed ready channel of the streaming
+// read-ahead producer, whose batches are final at publication time.
 var closedChan = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
@@ -127,79 +125,37 @@ func (f *File) ScanParallel(opts ScanOptions, workers int) *ParallelScanner {
 
 // NewScannerParallel is the streaming variant of ScanParallel for
 // inputs without random access (pipes, network streams): a single
-// producer goroutine read-ahead-decodes the next blocks — frame read,
-// CRC, dictionary deltas, column decode — while the consumer drains the
-// current one. Block-skipping windows still apply (a skipped block
-// costs only its prefix parse). The record order and error behaviour
-// match NewScanner exactly.
+// producer goroutine runs a NewScanner over r, read-ahead-decoding the
+// next blocks — frame read, CRC, dictionary deltas, column decode —
+// while the consumer drains the current one. Block-skipping windows
+// still apply (a skipped block costs only its prefix parse). The record
+// order and error behaviour match NewScanner exactly.
 func NewScannerParallel(r io.Reader, opts ScanOptions) (*ParallelScanner, error) {
-	if err := readHeader(r); err != nil {
+	sc, err := NewScanner(r, opts)
+	if err != nil {
 		return nil, err
 	}
-	fromN, toInc := scanBounds(opts)
 	const inflight = 4
 	p := newParallelScanner(inflight)
 	go func() {
 		defer close(p.out)
-		var buf []byte
-		var hwDict []failures.HWType
-		var detDict []string
-		emit := func(d *decBatch) bool {
-			select {
-			case p.out <- d:
-				return true
-			case <-p.stop:
-				return false
-			}
-		}
-		fail := func(err error) { emit(&decBatch{err: err, ready: closedChan}) }
 		for {
-			kind, payload, err := readFrame(r, &buf)
-			if err != nil {
-				fail(err)
+			var buf []failures.Record
+			select {
+			case buf = <-p.free:
+			case <-p.stop:
 				return
 			}
-			switch kind {
-			case frameBlock:
-				n, minS, maxS, colOff, err := parseBlock(payload, &hwDict, &detDict, true)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if !(BlockInfo{MinStart: minS, MaxStart: maxS}).overlaps(fromN, toInc) {
-					continue
-				}
-				var recs []failures.Record
-				select {
-				case recs = <-p.free:
-				case <-p.stop:
-					return
-				}
-				recs, err = decodeColumns(payload, colOff, n, 0, hwDict, detDict, fromN, toInc, recs[:0])
-				if err != nil {
-					fail(err)
-					return
-				}
-				if !emit(&decBatch{recs: recs, ready: closedChan}) {
-					return
-				}
-			case frameFooter:
-				var tr [trailerSize]byte
-				if _, err := io.ReadFull(r, tr[:]); err != nil {
-					fail(fmt.Errorf("%w: reading trailer: %v", ErrTruncated, err))
-					return
-				}
-				if string(tr[8:]) != trailerMagic {
-					fail(fmt.Errorf("%w: bad trailer magic %q", ErrBadMagic, tr[8:]))
-					return
-				}
-				if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-					fail(fmt.Errorf("%w: data after trailer", ErrFormat))
-					return
-				}
+			recs, err := sc.decodeNext(buf)
+			if recs == nil && err == nil {
 				return
-			default:
-				fail(fmt.Errorf("%w: unknown frame kind %d", ErrFormat, kind))
+			}
+			select {
+			case p.out <- &decBatch{recs: recs, err: err, ready: closedChan}:
+			case <-p.stop:
+				return
+			}
+			if err != nil {
 				return
 			}
 		}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -571,5 +574,67 @@ func TestSniffMagicShortPrefix(t *testing.T) {
 	}
 	if !SniffMagic([]byte(magic)) || !SniffMagic([]byte(magic+"\x01\x00extra")) {
 		t.Fatalf("SniffMagic rejected a real trace prefix")
+	}
+}
+
+// TestScanFileParallel: the CLIs' one trace opener sniffs a binary trace
+// from a CSV at any file name, rewinds, and yields the sequential
+// record sequence over both a regular file (footer index) and a pipe
+// (read-ahead stream).
+func TestScanFileParallel(t *testing.T) {
+	recs := synthRecords(700)
+	raw := encode(t, recs, WriterOptions{BlockRecords: 64})
+	sc, err := NewScanner(bytes.NewReader(raw), ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scanAll(t, sc)
+
+	dir := t.TempDir()
+	for name, body := range map[string][]byte{"trace.csv": raw, "trace.bin": []byte("system,node\n")} {
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, isTrace := range map[string]bool{"trace.csv": true, "trace.bin": false} {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		got, err := SniffFile(f)
+		if err != nil || got != isTrace {
+			t.Fatalf("SniffFile(%s) = %v, %v; want %v", name, got, err, isTrace)
+		}
+		if pos, _ := f.Seek(0, io.SeekCurrent); pos != 0 {
+			t.Fatalf("SniffFile(%s) left the offset at %d", name, pos)
+		}
+		if !isTrace {
+			continue
+		}
+		ps, err := ScanFileParallel(f, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := parScanAll(t, ps); !reflect.DeepEqual(got, want) {
+			t.Fatalf("regular file: %d records differ from the sequential scan's %d", len(got), len(want))
+		}
+	}
+
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	go func() {
+		pw.Write(raw)
+		pw.Close()
+	}()
+	ps, err := ScanFileParallel(pr, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := parScanAll(t, ps); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pipe: %d records differ from the sequential scan's %d", len(got), len(want))
 	}
 }

@@ -26,19 +26,12 @@ type ScanOptions struct {
 // also implements ScanBatch (engine.BatchSource), which hands the
 // fused pipeline a whole decoded block per call.
 //
-// Records decode straight out of the current block's column buffer —
-// eight fixed-width loads and two dictionary lookups — with no per-record
-// allocation; the only steady-state allocations are one payload buffer
-// reused across blocks and the dictionary strings, shared by every
-// record that carries them.
+// Both paths decode a block at a time, through decodeNext, into one
+// record buffer reused across blocks; the only other steady-state
+// allocations are one payload buffer, also reused, and the dictionary
+// strings, shared by every record that carries them.
 type Scanner struct {
 	next func() ([]byte, error) // yields CRC-verified block payloads; nil at end
-
-	// Current block state: column base offsets into payload.
-	payload                  []byte
-	n, i                     int
-	oStart, oEnd, oSys, oNod int
-	oHW, oWL, oCause, oDet   int
 
 	hwDict  []failures.HWType
 	detDict []string
@@ -50,8 +43,9 @@ type Scanner struct {
 	// fromN and toInc are the inclusive scan window bounds; see
 	// scanBounds.
 	fromN, toInc int64
+	batch        []failures.Record // the current decoded block
+	i            int               // Scan's cursor into batch
 	rec          failures.Record
-	batch        []failures.Record // ScanBatch output buffer, reused
 	scanned      int
 	err          error
 	done         bool
@@ -69,34 +63,41 @@ func NewScanner(r io.Reader, opts ScanOptions) (*Scanner, error) {
 	s := newScanner(opts, false)
 	var buf []byte
 	s.next = func() ([]byte, error) {
-		for {
-			kind, payload, err := readFrame(r, &buf)
-			if err != nil {
+		kind, payload, err := readFrame(r, &buf)
+		if err != nil {
+			return nil, err
+		}
+		switch kind {
+		case frameBlock:
+			return payload, nil
+		case frameFooter:
+			// The stream ends here; verify the trailer and EOF so a
+			// truncated or over-long file cannot pass silently.
+			var tr [trailerSize]byte
+			if _, err := io.ReadFull(r, tr[:]); err != nil {
+				return nil, fmt.Errorf("%w: reading trailer: %v", ErrTruncated, err)
+			}
+			if _, err := parseTrailer(tr); err != nil {
 				return nil, err
 			}
-			switch kind {
-			case frameBlock:
-				return payload, nil
-			case frameFooter:
-				// The stream ends here; verify the trailer and EOF so
-				// a truncated or over-long file cannot pass silently.
-				var tr [trailerSize]byte
-				if _, err := io.ReadFull(r, tr[:]); err != nil {
-					return nil, fmt.Errorf("%w: reading trailer: %v", ErrTruncated, err)
-				}
-				if string(tr[8:]) != trailerMagic {
-					return nil, fmt.Errorf("%w: bad trailer magic %q", ErrBadMagic, tr[8:])
-				}
-				if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-					return nil, fmt.Errorf("%w: data after trailer", ErrFormat)
-				}
-				return nil, nil
-			default:
-				return nil, fmt.Errorf("%w: unknown frame kind %d", ErrFormat, kind)
+			if n, err := r.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+				return nil, fmt.Errorf("%w: data after trailer", ErrFormat)
 			}
+			return nil, nil
+		default:
+			return nil, fmt.Errorf("%w: unknown frame kind %d", ErrFormat, kind)
 		}
 	}
 	return s, nil
+}
+
+// parseTrailer verifies the trailer magic and returns the footer offset
+// the trailer records.
+func parseTrailer(tr [trailerSize]byte) (int64, error) {
+	if string(tr[8:]) != trailerMagic {
+		return 0, fmt.Errorf("%w: bad trailer magic %q (file truncated or not Closed)", ErrBadMagic, tr[8:])
+	}
+	return int64(le.Uint64(tr[:])), nil
 }
 
 // readHeader consumes and verifies the file header. An input that ends
@@ -236,37 +237,11 @@ func parseBlock(p []byte, hwDict *[]failures.HWType, detDict *[]string, appendDi
 	return n, minStart, maxStart, fr.off, nil
 }
 
-// loadBlock parses a block payload: prefix, dictionary deltas, column
-// offsets. It returns false when the block's start-time index proves no
-// record can fall inside the scan window, leaving the column section
-// undecoded.
-func (s *Scanner) loadBlock(p []byte) (bool, error) {
-	n, minStart, maxStart, colOff, err := parseBlock(p, &s.hwDict, &s.detDict, !s.dictFixed)
-	if err != nil {
-		return false, err
-	}
-	if !(BlockInfo{MinStart: minStart, MaxStart: maxStart}).overlaps(s.fromN, s.toInc) {
-		return false, nil
-	}
-	s.payload = p
-	s.n = n
-	s.i = 0
-	s.oStart = colOff
-	s.oEnd = s.oStart + 8*n
-	s.oSys = s.oEnd + 8*n
-	s.oNod = s.oSys + 4*n
-	s.oHW = s.oNod + 4*n
-	s.oWL = s.oHW + 2*n
-	s.oCause = s.oWL + n
-	s.oDet = s.oCause + n
-	return n > 0, nil
-}
-
-// decodeColumns appends the records at positions [lo, n) of a block's
-// column section (starting at colOff in p) to dst, keeping only start
-// times inside the inclusive [fromN, toInc] window. The dictionaries
+// decodeColumns appends the n records of a block's column section
+// (starting at colOff in p) to dst, keeping only start times inside the
+// inclusive [fromN, toInc] window. The dictionaries
 // must already contain every index the block references.
-func decodeColumns(p []byte, colOff, n, lo int, hwDict []failures.HWType, detDict []string, fromN, toInc int64, dst []failures.Record) ([]failures.Record, error) {
+func decodeColumns(p []byte, colOff, n int, hwDict []failures.HWType, detDict []string, fromN, toInc int64, dst []failures.Record) ([]failures.Record, error) {
 	oStart := colOff
 	oEnd := oStart + 8*n
 	oSys := oEnd + 8*n
@@ -275,7 +250,7 @@ func decodeColumns(p []byte, colOff, n, lo int, hwDict []failures.HWType, detDic
 	oWL := oHW + 2*n
 	oCause := oWL + n
 	oDet := oCause + n
-	for i := lo; i < n; i++ {
+	for i := 0; i < n; i++ {
 		startN := int64(le.Uint64(p[oStart+8*i:]))
 		if startN < fromN || startN > toInc {
 			continue
@@ -301,73 +276,60 @@ func decodeColumns(p []byte, colOff, n, lo int, hwDict []failures.HWType, detDic
 	return dst, nil
 }
 
-// Scan advances to the next record in the scan window, reporting false
-// at the end of the trace or on the first error (see Err).
-func (s *Scanner) Scan() bool {
-	if s.done || s.err != nil {
-		return false
-	}
+// decodeNext pulls frames until a block holds at least one record in
+// the scan window, decodes that block's in-window records into dst[:0]
+// and returns them. Blocks whose start-time index lies outside the
+// window are skipped after their prefix and dictionary deltas are read.
+// It returns (nil, nil) at a clean end of trace.
+func (s *Scanner) decodeNext(dst []failures.Record) ([]failures.Record, error) {
 	for {
-		for s.i < s.n {
-			i := s.i
-			s.i++
-			p := s.payload
-			startN := int64(le.Uint64(p[s.oStart+8*i:]))
-			if startN < s.fromN || startN > s.toInc {
-				continue
-			}
-			endD := int64(le.Uint64(p[s.oEnd+8*i:]))
-			hw := int(le.Uint16(p[s.oHW+2*i:]))
-			det := int(le.Uint32(p[s.oDet+4*i:]))
-			if hw >= len(s.hwDict) || det >= len(s.detDict) {
-				s.err = fmt.Errorf("%w: dictionary index out of range (hw %d/%d, detail %d/%d)",
-					ErrFormat, hw, len(s.hwDict), det, len(s.detDict))
-				s.done = true
-				return false
-			}
-			s.rec = failures.Record{
-				System:   int(int32(le.Uint32(p[s.oSys+4*i:]))),
-				Node:     int(int32(le.Uint32(p[s.oNod+4*i:]))),
-				HW:       s.hwDict[hw],
-				Workload: failures.Workload(p[s.oWL+i]),
-				Cause:    failures.RootCause(p[s.oCause+i]),
-				Detail:   s.detDict[det],
-				Start:    time.Unix(0, startN).UTC(),
-				End:      time.Unix(0, startN+endD).UTC(),
-			}
-			s.scanned++
-			return true
+		p, err := s.next()
+		if err != nil || p == nil {
+			return nil, err
 		}
-		if !s.advanceBlock() {
-			return false
+		n, minStart, maxStart, colOff, err := parseBlock(p, &s.hwDict, &s.detDict, !s.dictFixed)
+		if err != nil {
+			return nil, err
+		}
+		if !(BlockInfo{MinStart: minStart, MaxStart: maxStart}).overlaps(s.fromN, s.toInc) {
+			continue
+		}
+		dst, err = decodeColumns(p, colOff, n, s.hwDict, s.detDict, s.fromN, s.toInc, dst[:0])
+		if err != nil {
+			return nil, err
+		}
+		if len(dst) > 0 {
+			return dst, nil
 		}
 	}
 }
 
-// advanceBlock pulls frames until one loads a block intersecting the
-// window; false means end of trace or error (both recorded on s).
-func (s *Scanner) advanceBlock() bool {
-	for {
-		p, err := s.next()
-		if err != nil {
-			s.err = err
-			s.done = true
-			return false
-		}
-		if p == nil {
-			s.done = true
-			return false
-		}
-		ok, err := s.loadBlock(p)
-		if err != nil {
-			s.err = err
-			s.done = true
-			return false
-		}
-		if ok {
-			return true
-		}
+// fill decodes the next non-empty block into s.batch and rewinds the
+// Scan cursor; false means end of trace or error (both recorded on s).
+func (s *Scanner) fill() bool {
+	if s.done {
+		return false
 	}
+	batch, err := s.decodeNext(s.batch)
+	if batch == nil {
+		s.err = err
+		s.done = true
+		return false
+	}
+	s.batch, s.i = batch, 0
+	return true
+}
+
+// Scan advances to the next record in the scan window, reporting false
+// at the end of the trace or on the first error (see Err).
+func (s *Scanner) Scan() bool {
+	if s.i == len(s.batch) && !s.fill() {
+		return false
+	}
+	s.rec = s.batch[s.i]
+	s.i++
+	s.scanned++
+	return true
 }
 
 // ScanBatch yields the rest of the current block — every in-window
@@ -378,31 +340,14 @@ func (s *Scanner) advanceBlock() bool {
 // engine.BatchSource, so the fused pipeline folds whole blocks into its
 // streaming shards per dispatch.
 func (s *Scanner) ScanBatch() ([]failures.Record, error) {
-	if s.done || s.err != nil {
+	if s.i == len(s.batch) && !s.fill() {
 		return nil, s.err
 	}
-	for {
-		if s.i < s.n {
-			lo := s.i
-			s.i = s.n
-			batch, err := decodeColumns(s.payload, s.oStart, s.n, lo, s.hwDict, s.detDict, s.fromN, s.toInc, s.batch[:0])
-			s.batch = batch
-			if err != nil {
-				s.err = err
-				s.done = true
-				return nil, err
-			}
-			if len(batch) > 0 {
-				s.scanned += len(batch)
-				s.rec = batch[len(batch)-1]
-				return batch, nil
-			}
-			continue
-		}
-		if !s.advanceBlock() {
-			return nil, s.err
-		}
-	}
+	b := s.batch[s.i:]
+	s.i = len(s.batch)
+	s.scanned += len(b)
+	s.rec = b[len(b)-1]
+	return b, nil
 }
 
 // Record returns the record produced by the last successful Scan (after

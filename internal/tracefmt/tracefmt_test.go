@@ -275,14 +275,49 @@ func TestCorruptionDetection(t *testing.T) {
 	recs := synthRecords(300)
 	raw := encode(t, recs, WriterOptions{BlockRecords: 100})
 
+	// scanErr runs the input through every sequential decoder — Scan,
+	// ScanBatch and the read-ahead NewScannerParallel — and requires the
+	// same error from each, since all three share one block decoder.
 	scanErr := func(b []byte) error {
-		s, err := NewScanner(bytes.NewReader(b), ScanOptions{})
-		if err != nil {
-			return err
+		t.Helper()
+		var errs [3]error
+		for i := range errs {
+			switch i {
+			case 0, 1:
+				s, err := NewScanner(bytes.NewReader(b), ScanOptions{})
+				if err != nil {
+					errs[i] = err
+					break
+				}
+				if i == 0 {
+					for s.Scan() {
+					}
+					errs[i] = s.Err()
+					break
+				}
+				for {
+					batch, err := s.ScanBatch()
+					if batch == nil {
+						errs[i] = err
+						break
+					}
+				}
+			case 2:
+				ps, err := NewScannerParallel(bytes.NewReader(b), ScanOptions{})
+				if err != nil {
+					errs[i] = err
+					break
+				}
+				for ps.Scan() {
+				}
+				errs[i] = ps.Err()
+				ps.Close()
+			}
 		}
-		for s.Scan() {
+		if fmt.Sprint(errs[1]) != fmt.Sprint(errs[0]) || fmt.Sprint(errs[2]) != fmt.Sprint(errs[0]) {
+			t.Fatalf("decoders disagree: Scan %v, ScanBatch %v, NewScannerParallel %v", errs[0], errs[1], errs[2])
 		}
-		return s.Err()
+		return errs[0]
 	}
 
 	t.Run("bit flip", func(t *testing.T) {
@@ -325,6 +360,43 @@ func TestCorruptionDetection(t *testing.T) {
 		bad := append(append([]byte(nil), raw...), 0)
 		if err := scanErr(bad); !errors.Is(err, ErrFormat) {
 			t.Fatalf("want ErrFormat, got %v", err)
+		}
+	})
+	t.Run("bad trailer magic", func(t *testing.T) {
+		bad := append([]byte(nil), raw...)
+		bad[len(bad)-1] ^= 0x20
+		if err := scanErr(bad); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("want ErrBadMagic, got %v", err)
+		}
+		if _, err := NewFile(bytes.NewReader(bad), int64(len(bad))); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("NewFile: want ErrBadMagic, got %v", err)
+		}
+	})
+	t.Run("dictionary index out of range", func(t *testing.T) {
+		// Point the last record of the first block at a detail label
+		// no dictionary holds, then re-seal the frame's CRC so only the
+		// bounds check can catch it.
+		f, err := NewFile(bytes.NewReader(raw), int64(len(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := f.Blocks()[0]
+		bad := append([]byte(nil), raw...)
+		payload := bad[b.Offset+frameSize : b.Offset+frameSize+int64(le.Uint32(bad[b.Offset+1:]))]
+		le.PutUint32(payload[len(payload)-4:], 1<<30)
+		le.PutUint32(bad[b.Offset+5:], crc32Checksum(payload))
+		if err := scanErr(bad); !errors.Is(err, ErrFormat) {
+			t.Fatalf("want ErrFormat, got %v", err)
+		}
+		f, err = NewFile(bytes.NewReader(bad), int64(len(bad)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := f.ScanParallel(ScanOptions{}, 2)
+		for ps.Scan() {
+		}
+		if !errors.Is(ps.Err(), ErrFormat) {
+			t.Fatalf("ScanParallel: want ErrFormat, got %v", ps.Err())
 		}
 	})
 }
