@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"hpcfail/internal/failures"
@@ -101,4 +102,26 @@ func TestSeed1CSVBinCSVRoundTrip(t *testing.T) {
 	}
 	t.Logf("seed-1 round trip: %d records, CSV %d bytes, bin %d bytes (%.2fx smaller)",
 		ds.Len(), len(direct), bin.Len(), float64(len(direct))/float64(bin.Len()))
+}
+
+// seed1BinSHA is the pinned sha256 of the seed-1 LANL trace as written by
+// Writer with default block size. The encoder is byte-identical at every
+// worker count, so one digest covers the inline and the pooled paths.
+const seed1BinSHA = "e42cece5a83c661578dc64919b98daf99c2088e443ecd901440171dc93b8c1cf"
+
+// TestSeed1BinaryDigest pins the bytes of the binary trace format: the
+// header, block frames, dictionaries, footer and trailer of the seed-1
+// trace, encoded inline (Workers 0) and on a two-worker pool. Any change
+// to the writer or the field encoders that moves a byte fails here.
+func TestSeed1BinaryDigest(t *testing.T) {
+	seed1, err := lanl.NewGenerator(lanl.Config{Seed: 1}).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 2} {
+		bin := encode(t, seed1.Records(), WriterOptions{Workers: workers})
+		if got := fmt.Sprintf("%x", sha256.Sum256(bin)); got != seed1BinSHA {
+			t.Errorf("workers %d: seed-1 binary trace sha256 %s, pinned %s (%d bytes)", workers, got, seed1BinSHA, len(bin))
+		}
+	}
 }
