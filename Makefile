@@ -7,7 +7,8 @@ GO ?= go
 # daemon, the sweep engine, the binary trace pipeline, the parallel
 # trace codec and the sub-shard analysis pipeline, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser, the
-# binary trace round trip and the incremental-snapshot restore.
+# binary trace round trip, the incremental-snapshot restore, and the
+# daemon's WAL-payload and server-snapshot restore.
 check: vet staticcheck build race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz-smoke
 
 vet:
@@ -75,7 +76,7 @@ fuzz:
 
 # A 10-second fuzz pass per target, cheap enough for every check run.
 # go test accepts one -fuzz pattern per invocation, hence one run each.
-# The snapshot target caps minimization of its multi-kilobyte inputs,
+# The snapshot targets cap minimization of their multi-kilobyte inputs,
 # which would otherwise spend the whole pass shrinking one input.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s -run=^$$ ./internal/failures
@@ -83,6 +84,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseSweepSpec -fuzztime=10s -run=^$$ ./internal/sweep
 	$(GO) test -fuzz=FuzzTraceRoundTrip -fuzztime=10s -run=^$$ ./internal/tracefmt
 	$(GO) test -fuzz=FuzzReadIncremental -fuzztime=10s -fuzzminimizetime=2s -run=^$$ ./internal/engine
+	$(GO) test -fuzz=FuzzDecodeWALPayload -fuzztime=10s -run=^$$ ./internal/serve
+	$(GO) test -fuzz=FuzzRestoreSnapshot -fuzztime=10s -fuzzminimizetime=2s -run=^$$ ./internal/serve
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -93,7 +93,17 @@ func run(args []string, w io.Writer) error {
 		if *which != "fleet" {
 			return fmt.Errorf("-stream supports only -analysis fleet, got %q", *which)
 		}
-		return streamFleet(ctx, eng, f, binary, w, *epsilon, *reservoir)
+		fleet, footer, err := report.StreamFleet(ctx, eng, f, binary, *epsilon, *reservoir)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "Fleet sweep (streaming): per-system TBF and TTR fits with bootstrap CIs\n")
+		fmt.Fprint(w, report.FleetTable(fleet, eng.Level()))
+		hits, misses := eng.Stats()
+		fmt.Fprintf(w, "engine: %d workers, B=%d, fit cache %d hits / %d misses\n",
+			eng.Workers(), eng.BootstrapReps(), hits, misses)
+		fmt.Fprint(w, footer)
+		return nil
 	}
 	var dataset *failures.Dataset
 	if binary {
@@ -316,62 +326,6 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown analysis %q", *which)
 	}
-	return nil
-}
-
-// streamFleet is the -stream path: one bounded-memory pass over the trace
-// through the streaming engine without ever building a Dataset. The
-// report is the same fleet table; summaries carry the documented
-// sketch/reservoir accuracy trade instead of being exact. Binary traces
-// decode on a parallel block pool (-workers wide, like the engine) —
-// over the footer index for regular files, read-ahead for pipes — and
-// hand the engine whole blocks; the output is byte-identical to a
-// sequential decode at any worker count.
-func streamFleet(ctx context.Context, eng *engine.Engine, f *os.File, binary bool, w io.Writer, epsilon float64, reservoir int) error {
-	var src engine.RecordSource
-	var sc *failures.Scanner
-	if binary {
-		ps, err := tracefmt.ScanFileParallel(f, eng.Workers())
-		if err != nil {
-			return err
-		}
-		defer ps.Close()
-		src = ps
-	} else {
-		var err error
-		sc, err = failures.NewScanner(f, failures.ReadCSVOptions{SkipMalformed: true})
-		if err != nil {
-			return err
-		}
-		src = sc
-	}
-	fleet, info, err := eng.AnalyzeStream(ctx, src, engine.StreamOptions{
-		Spec: engine.ShardSpec{
-			IncludeFleet: true,
-			CIFamilies:   []dist.Family{dist.FamilyWeibull, dist.FamilyLogNormal},
-		},
-		SketchEpsilon: epsilon,
-		ReservoirSize: reservoir,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Fleet sweep (streaming): per-system TBF and TTR fits with bootstrap CIs\n")
-	fmt.Fprint(w, report.FleetTable(fleet, eng.Level()))
-	hits, misses := eng.Stats()
-	fmt.Fprintf(w, "engine: %d workers, B=%d, fit cache %d hits / %d misses\n",
-		eng.Workers(), eng.BootstrapReps(), hits, misses)
-	fmt.Fprintf(w, "stream: %d records in one pass, sketch eps %g, reservoir %d/shard",
-		info.RecordsScanned, info.SketchEpsilon, info.ReservoirSize)
-	if sc != nil {
-		if n := len(sc.RowErrors()); n > 0 {
-			fmt.Fprintf(w, ", %d malformed rows skipped", n)
-		}
-	}
-	if info.OutOfOrder > 0 {
-		fmt.Fprintf(w, ", %d out-of-order records (interarrivals unreliable)", info.OutOfOrder)
-	}
-	fmt.Fprintln(w)
 	return nil
 }
 

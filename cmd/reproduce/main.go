@@ -62,11 +62,8 @@ func run(args []string, w io.Writer) error {
 	ctx := context.Background()
 	eng := engine.New(engine.Options{Workers: *workers, BootstrapReps: *bootstrap, Seed: *seed})
 
-	if *stream {
-		if *dataPath == "" {
-			return fmt.Errorf("-stream requires -data (it exists to avoid materializing a trace)")
-		}
-		return streamFleet(ctx, eng, *dataPath, w)
+	if *stream && *dataPath == "" {
+		return fmt.Errorf("-stream requires -data (it exists to avoid materializing a trace)")
 	}
 
 	var dataset *failures.Dataset
@@ -79,6 +76,17 @@ func run(args []string, w io.Writer) error {
 		binary, err := tracefmt.SniffFile(f)
 		if err != nil {
 			return fmt.Errorf("read %s: %w", *dataPath, err)
+		}
+		if *stream {
+			fleet, footer, err := report.StreamFleet(ctx, eng, f, binary, 0, 0)
+			if err != nil {
+				return err
+			}
+			title := "Fleet sweep (streaming): per-system fits with bootstrap CIs"
+			fmt.Fprintf(w, "\n%s\n%s\n", title, line(len(title)))
+			fmt.Fprint(w, report.FleetTable(fleet, eng.Level()))
+			fmt.Fprint(w, footer)
+			return nil
 		}
 		if binary {
 			dataset, err = tracefmt.ReadDataset(f)
@@ -367,63 +375,6 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "engine: B=%d bootstrap resamples, fit cache %d hits / %d misses\n",
 		eng.BootstrapReps(), hits, misses)
 	paper("Weibull shape 0.7-0.8 for time between failures; lognormal repair medians track hardware type")
-	return nil
-}
-
-// streamFleet runs the engine's one-pass fleet sweep over a CSV or
-// binary trace without building a Dataset: exact streaming moments,
-// sketched medians, fits on seeded reservoir subsamples.
-func streamFleet(ctx context.Context, eng *engine.Engine, path string, w io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	binary, err := tracefmt.SniffFile(f)
-	if err != nil {
-		return err
-	}
-	var src engine.RecordSource
-	var sc *failures.Scanner
-	if binary {
-		// Parallel block decode, -workers wide like the engine itself;
-		// results are byte-identical at any worker count because blocks
-		// re-emit in index order.
-		var ps *tracefmt.ParallelScanner
-		if ps, err = tracefmt.ScanFileParallel(f, eng.Workers()); err == nil {
-			defer ps.Close()
-			src = ps
-		}
-	} else {
-		sc, err = failures.NewScanner(f, failures.ReadCSVOptions{SkipMalformed: true})
-		src = sc
-	}
-	if err != nil {
-		return err
-	}
-	fleet, info, err := eng.AnalyzeStream(ctx, src, engine.StreamOptions{
-		Spec: engine.ShardSpec{
-			IncludeFleet: true,
-			CIFamilies:   []dist.Family{dist.FamilyWeibull, dist.FamilyLogNormal},
-		},
-	})
-	if err != nil {
-		return err
-	}
-	title := "Fleet sweep (streaming): per-system fits with bootstrap CIs"
-	fmt.Fprintf(w, "\n%s\n%s\n", title, line(len(title)))
-	fmt.Fprint(w, report.FleetTable(fleet, eng.Level()))
-	fmt.Fprintf(w, "stream: %d records in one pass, sketch eps %g, reservoir %d/shard",
-		info.RecordsScanned, info.SketchEpsilon, info.ReservoirSize)
-	if sc != nil {
-		if n := len(sc.RowErrors()); n > 0 {
-			fmt.Fprintf(w, ", %d malformed rows skipped", n)
-		}
-	}
-	if info.OutOfOrder > 0 {
-		fmt.Fprintf(w, ", %d out-of-order records (interarrivals unreliable)", info.OutOfOrder)
-	}
-	fmt.Fprintln(w)
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/failures"
 	"hpcfail/internal/streamstats"
 )
@@ -189,11 +190,6 @@ var (
 	ErrIncMismatch = errors.New("engine: incremental snapshot options mismatch")
 )
 
-func appendTime(buf []byte, t time.Time) []byte {
-	buf = binary.AppendVarint(buf, t.Unix())
-	return binary.AppendUvarint(buf, uint64(t.Nanosecond()))
-}
-
 // WriteSnapshot serializes the full incremental state. The query cache
 // is deliberately excluded: a restored incremental refits lazily on the
 // first Result, reusing the engine's fit memo.
@@ -213,7 +209,7 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 		flags |= 4
 	}
 	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(inc.opts.SketchEpsilon))
+	buf = binx.AppendF64(buf, inc.opts.SketchEpsilon)
 	buf = binary.AppendVarint(buf, int64(inc.opts.ReservoirSize))
 	buf = binary.AppendUvarint(buf, uint64(inc.records))
 	buf = binary.AppendUvarint(buf, uint64(inc.info().OutOfOrder))
@@ -232,8 +228,8 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 		buf = binary.AppendUvarint(buf, uint64(a.outOfOrder))
 		if a.haveLast {
 			buf = append(buf, 1)
-			buf = appendTime(buf, a.firstStart)
-			buf = appendTime(buf, a.lastStart)
+			buf = binx.AppendTime(buf, a.firstStart)
+			buf = binx.AppendTime(buf, a.lastStart)
 		} else {
 			buf = append(buf, 0)
 		}
@@ -250,56 +246,6 @@ func (inc *Incremental) WriteSnapshot(w io.Writer) error {
 	return err
 }
 
-// incReader decodes the snapshot byte stream with bounds checking. The
-// first malformed field poisons it: later reads return zero values, and
-// the caller checks err before acting on what it read.
-type incReader struct {
-	buf []byte
-	err error
-}
-
-func (r *incReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrIncSnapshot, what)
-	}
-	r.buf = nil
-}
-
-func (r *incReader) take(n uint64) []byte {
-	if n > uint64(len(r.buf)) {
-		r.fail("truncated")
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *incReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *incReader) varint() int64 {
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *incReader) time() time.Time {
-	sec := r.varint()
-	return time.Unix(sec, int64(r.uvarint())).UTC()
-}
-
 // ReadIncremental restores a WriteSnapshot blob into a fresh incremental
 // bound to e. The snapshot's stream options must match opts
 // (ErrIncMismatch otherwise): the restored accumulators were built under
@@ -310,43 +256,41 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 	if err != nil {
 		return nil, fmt.Errorf("engine read incremental: %w", err)
 	}
-	r := incReader{buf: data}
-	if magic := r.take(uint64(len(incMagic))); r.err == nil && [8]byte(magic) != incMagic {
+	r := binx.NewReader(data, ErrIncSnapshot)
+	if magic := r.Bytes(len(incMagic)); r.Err() == nil && [8]byte(magic) != incMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrIncSnapshot, magic)
 	}
-	flags := r.take(1)
-	eps := r.take(8)
-	size := r.varint()
-	if r.err != nil {
-		return nil, r.err
+	flags, eps, size := r.U8(), r.U64(), r.Varint()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	spec := opts.Spec
-	if spec.IncludeFleet != (flags[0]&1 != 0) || spec.ByWorkload != (flags[0]&2 != 0) || spec.ByCause != (flags[0]&4 != 0) {
+	if spec.IncludeFleet != (flags&1 != 0) || spec.ByWorkload != (flags&2 != 0) || spec.ByCause != (flags&4 != 0) {
 		return nil, fmt.Errorf("%w: sharding flags %03b vs spec {fleet=%t workload=%t cause=%t}",
-			ErrIncMismatch, flags[0], spec.IncludeFleet, spec.ByWorkload, spec.ByCause)
+			ErrIncMismatch, flags, spec.IncludeFleet, spec.ByWorkload, spec.ByCause)
 	}
-	if bits := binary.LittleEndian.Uint64(eps); bits != math.Float64bits(opts.SketchEpsilon) {
-		return nil, fmt.Errorf("%w: sketch epsilon %g vs %g", ErrIncMismatch, math.Float64frombits(bits), opts.SketchEpsilon)
+	if eps != math.Float64bits(opts.SketchEpsilon) {
+		return nil, fmt.Errorf("%w: sketch epsilon %g vs %g", ErrIncMismatch, math.Float64frombits(eps), opts.SketchEpsilon)
 	}
 	if size != int64(opts.ReservoirSize) {
 		return nil, fmt.Errorf("%w: reservoir size %d vs %d", ErrIncMismatch, size, opts.ReservoirSize)
 	}
 
 	inc := e.NewIncremental(opts)
-	records := r.uvarint()
-	outOfOrder := r.uvarint()
+	records := r.Uvarint()
+	outOfOrder := r.Uvarint()
 	inc.records = int(records)
-	shards := r.uvarint()
-	for i := uint64(0); i < shards && r.err == nil; i++ {
-		key := ShardKey{System: int(r.varint()), Workload: failures.Workload(r.uvarint()), Cause: failures.RootCause(r.uvarint())}
-		a := &shardAccum{records: int(r.uvarint()), outOfOrder: int(r.uvarint())}
-		if have := r.take(1); r.err == nil && have[0] != 0 {
+	shards := r.Uvarint()
+	for i := uint64(0); i < shards && r.Err() == nil; i++ {
+		key := ShardKey{System: int(r.Varint()), Workload: failures.Workload(r.Uvarint()), Cause: failures.RootCause(r.Uvarint())}
+		a := &shardAccum{records: int(r.Uvarint()), outOfOrder: int(r.Uvarint())}
+		if r.U8() != 0 {
 			a.haveLast = true
-			a.firstStart, a.lastStart = r.time(), r.time()
+			a.firstStart, a.lastStart = r.Time(), r.Time()
 		}
 		for _, accp := range []**streamstats.Accumulator{&a.inter, &a.repair} {
-			b := r.take(r.uvarint())
-			if r.err != nil {
+			b := r.Bytes(r.Count(1))
+			if r.Err() != nil {
 				break
 			}
 			*accp = &streamstats.Accumulator{}
@@ -355,15 +299,12 @@ func (e *Engine) ReadIncremental(rd io.Reader, opts StreamOptions) (*Incremental
 			}
 		}
 		if _, dup := inc.accums[key]; dup {
-			r.fail(fmt.Sprintf("duplicate shard %s", key))
+			return nil, fmt.Errorf("%w: duplicate shard %s", ErrIncSnapshot, key)
 		}
 		inc.accums[key] = a
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrIncSnapshot, len(r.buf))
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	if keys := shardOrder(inc.accums, spec); len(keys) != len(inc.accums) {
 		return nil, fmt.Errorf("%w: %d shards, %d enumerate under the spec", ErrIncSnapshot, len(inc.accums), len(keys))

@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/engine"
 )
 
@@ -358,6 +359,15 @@ var srvMagic = [8]byte{'H', 'F', 'S', 'R', 'V', '0', '1', '\n'}
 // ErrSnapshot wraps server-snapshot decode failures.
 var ErrSnapshot = errors.New("serve: corrupt server snapshot")
 
+// Lower bounds on encoded sizes, for binx.Reader.Count: a tenant is at
+// least a one-byte name and its length, the WAL offset, four one-byte
+// uvarints and an empty blob's length; a dedupe entry is three one-byte
+// fields.
+const (
+	minSnapshotTenant = 2 + 8 + 4 + 1
+	minSnapshotDedupe = 3
+)
+
 // Snapshot writes a point-in-time snapshot of all tenant state to
 // DataDir/snapshot.bin via a temp file and an atomic rename. Each
 // tenant's (WAL offset, fold state, dedupe window) triple is captured
@@ -366,7 +376,35 @@ var ErrSnapshot = errors.New("serve: corrupt server snapshot")
 func (s *Server) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
+	buf, err := s.encodeSnapshot()
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(s.cfg.DataDir, "snapshot-*.tmp")
+	if err != nil {
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close()
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), s.snapshotPath()); err != nil {
+		return fmt.Errorf("serve: snapshot: %w", err)
+	}
+	return nil
+}
 
+// encodeSnapshot captures every tenant's recovery state in the server
+// snapshot format.
+func (s *Server) encodeSnapshot() ([]byte, error) {
 	s.mu.Lock()
 	names := make([]string, 0, len(s.tenants))
 	for name := range s.tenants {
@@ -394,9 +432,9 @@ func (s *Server) Snapshot() error {
 		}
 		t.foldMu.Unlock()
 		if err != nil {
-			return fmt.Errorf("serve: snapshot tenant %s: %w", names[i], err)
+			return nil, fmt.Errorf("serve: snapshot tenant %s: %w", names[i], err)
 		}
-		buf = appendString(buf, names[i])
+		buf = binx.AppendString(buf, names[i])
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(offset))
 		buf = binary.AppendUvarint(buf, uint64(accepted))
 		buf = binary.AppendUvarint(buf, uint64(quarantined))
@@ -404,34 +442,14 @@ func (s *Server) Snapshot() error {
 		buf = binary.AppendUvarint(buf, uint64(len(order)))
 		for _, id := range order {
 			res := results[id]
-			buf = appendString(buf, id)
+			buf = binx.AppendString(buf, id)
 			buf = binary.AppendUvarint(buf, uint64(res.Accepted))
 			buf = binary.AppendUvarint(buf, uint64(res.Quarantined))
 		}
 		buf = binary.AppendUvarint(buf, uint64(blob.Len()))
 		buf = append(buf, blob.Bytes()...)
 	}
-
-	tmp, err := os.CreateTemp(s.cfg.DataDir, "snapshot-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.snapshotPath()); err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	return nil
+	return buf, nil
 }
 
 // recover rebuilds tenant state: parse the snapshot if present, then open
@@ -496,18 +514,16 @@ func (s *Server) recover() error {
 // not yet open; each tenant's snapshot WAL offset is parked in a
 // placeholder wal struct for recover to pick up.
 func (s *Server) restoreSnapshot(data []byte) error {
-	r := walReader{buf: data}
-	if len(data) < len(srvMagic) || [8]byte(data[:8]) != srvMagic {
+	r := binx.NewReader(data, ErrSnapshot)
+	if magic := r.Bytes(len(srvMagic)); r.Err() != nil || [8]byte(magic) != srvMagic {
 		return fmt.Errorf("%w: bad magic", ErrSnapshot)
 	}
-	r.buf = data[8:]
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		name, err := r.string()
-		if err != nil {
+	n := r.Count(minSnapshotTenant)
+	for i := 0; i < n; i++ {
+		name := r.String()
+		offset := int64(r.U64())
+		accepted, quarantined, duplicates := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		if err := r.Err(); err != nil {
 			return err
 		}
 		if !validTenantName(name) {
@@ -516,55 +532,21 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		if _, dup := s.tenants[name]; dup {
 			return fmt.Errorf("%w: duplicate tenant %q", ErrSnapshot, name)
 		}
-		if len(r.buf) < 8 {
-			return fmt.Errorf("%w: truncated", ErrSnapshot)
-		}
-		offset := int64(binary.LittleEndian.Uint64(r.buf))
-		r.buf = r.buf[8:]
-		accepted, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		quarantined, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		duplicates, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		nDedupe, err := r.uvarint()
-		if err != nil {
-			return err
-		}
 		dedupe := newDedupeRing(s.cfg.DedupeWindow)
-		for j := uint64(0); j < nDedupe; j++ {
-			id, err := r.string()
-			if err != nil {
-				return err
-			}
-			acc, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			quar, err := r.uvarint()
-			if err != nil {
-				return err
-			}
+		nDedupe := r.Count(minSnapshotDedupe)
+		for j := 0; j < nDedupe; j++ {
+			id := r.String()
+			acc, quar := r.Uvarint(), r.Uvarint()
 			dedupe.add(id, IngestResult{Accepted: int(acc), Quarantined: int(quar)})
 		}
-		blobLen, err := r.uvarint()
-		if err != nil {
+		blob := r.Bytes(r.Count(1))
+		if err := r.Err(); err != nil {
 			return err
 		}
-		if blobLen > uint64(len(r.buf)) {
-			return fmt.Errorf("%w: truncated incremental blob", ErrSnapshot)
-		}
-		inc, err := s.eng.ReadIncremental(bytes.NewReader(r.buf[:blobLen]), s.cfg.Stream)
+		inc, err := s.eng.ReadIncremental(bytes.NewReader(blob), s.cfg.Stream)
 		if err != nil {
 			return fmt.Errorf("serve: restore tenant %s: %w", name, err)
 		}
-		r.buf = r.buf[blobLen:]
 		t := s.newTenant(name, inc, &wal{offset: offset})
 		t.accepted = int(accepted)
 		t.quarantined = int(quarantined)
@@ -572,8 +554,5 @@ func (s *Server) restoreSnapshot(data []byte) error {
 		t.dedupe = dedupe
 		s.tenants[name] = t
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrSnapshot, len(r.buf))
-	}
-	return nil
+	return r.End()
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"hpcfail/internal/binx"
 )
 
 // Versioned binary snapshot/restore for every streaming structure. The
@@ -32,70 +34,16 @@ const (
 // distinguish a corrupt blob from other errors with errors.Is.
 var ErrSnapshot = errors.New("streamstats: corrupt snapshot")
 
-// binReader walks a snapshot blob with bounds checking.
-type binReader struct {
-	buf []byte
-}
+var le = binary.LittleEndian
 
-func (r *binReader) bytes(n int) ([]byte, error) {
-	if n < 0 || len(r.buf) < n {
-		return nil, fmt.Errorf("%w: truncated (%d bytes left, need %d)", ErrSnapshot, len(r.buf), n)
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b, nil
-}
-
-func (r *binReader) byte() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *binReader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *binReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrSnapshot)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *binReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", ErrSnapshot)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *binReader) f64() (float64, error) {
-	u, err := r.u64()
-	return math.Float64frombits(u), err
-}
-
-func (r *binReader) header(kind byte) error {
-	k, err := r.byte()
-	if err != nil {
+// readHeader checks a blob's kind tag and version.
+func readHeader(r *binx.Reader, kind byte) error {
+	k, v := r.U8(), r.U8()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if k != kind {
 		return fmt.Errorf("%w: kind %q, want %q", ErrSnapshot, k, kind)
-	}
-	v, err := r.byte()
-	if err != nil {
-		return err
 	}
 	if v != snapshotVersion {
 		return fmt.Errorf("%w: version %d, want %d", ErrSnapshot, v, snapshotVersion)
@@ -107,61 +55,31 @@ func appendHeader(buf []byte, kind byte) []byte {
 	return append(buf, kind, snapshotVersion)
 }
 
-func appendU64(buf []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, v)
-}
-
-func appendF64(buf []byte, v float64) []byte {
-	return appendU64(buf, math.Float64bits(v))
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (m *Moments) MarshalBinary() ([]byte, error) {
 	buf := appendHeader(make([]byte, 0, 2+8*5+1), momentsKind)
-	buf = appendU64(buf, m.n)
-	buf = appendF64(buf, m.mean)
-	buf = appendF64(buf, m.m2)
-	buf = appendF64(buf, m.min)
-	buf = appendF64(buf, m.max)
-	buf = appendBool(buf, m.hasNaN)
-	return buf, nil
+	buf = le.AppendUint64(buf, m.n)
+	buf = binx.AppendF64(buf, m.mean)
+	buf = binx.AppendF64(buf, m.m2)
+	buf = binx.AppendF64(buf, m.min)
+	buf = binx.AppendF64(buf, m.max)
+	var nan byte
+	if m.hasNaN {
+		nan = 1
+	}
+	return append(buf, nan), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing m.
 func (m *Moments) UnmarshalBinary(data []byte) error {
-	r := binReader{buf: data}
-	if err := r.header(momentsKind); err != nil {
+	r := binx.NewReader(data, ErrSnapshot)
+	if err := readHeader(r, momentsKind); err != nil {
 		return err
 	}
-	var out Moments
-	var err error
-	var nan byte
-	if out.n, err = r.u64(); err != nil {
+	out := Moments{n: r.U64(), mean: r.F64(), m2: r.F64(), min: r.F64(), max: r.F64(), hasNaN: r.U8() != 0}
+	if err := r.End(); err != nil {
 		return err
 	}
-	if out.mean, err = r.f64(); err != nil {
-		return err
-	}
-	if out.m2, err = r.f64(); err != nil {
-		return err
-	}
-	if out.min, err = r.f64(); err != nil {
-		return err
-	}
-	if out.max, err = r.f64(); err != nil {
-		return err
-	}
-	if nan, err = r.byte(); err != nil {
-		return err
-	}
-	out.hasNaN = nan != 0
 	*m = out
 	return nil
 }
@@ -181,40 +99,27 @@ func appendBuckets(buf []byte, m map[int]uint64) []byte {
 	return buf
 }
 
-func readBuckets(r *binReader) (map[int]uint64, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func readBuckets(r *binx.Reader) map[int]uint64 {
 	// Each bucket takes at least two bytes, so a count the blob cannot
 	// hold is corrupt — and must not size the map allocation.
-	if n > uint64(len(r.buf)/2) {
-		return nil, fmt.Errorf("%w: %d buckets in %d bytes", ErrSnapshot, n, len(r.buf))
-	}
+	n := r.Count(2)
 	m := make(map[int]uint64, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m[int(k)] = c
+	for i := 0; i < n; i++ {
+		k := r.Varint()
+		m[int(k)] = r.Uvarint()
 	}
-	return m, nil
+	return m
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *QuantileSketch) MarshalBinary() ([]byte, error) {
 	buf := appendHeader(nil, sketchKind)
-	buf = appendF64(buf, s.eps)
-	buf = appendU64(buf, s.zero)
-	buf = appendU64(buf, s.posInf)
-	buf = appendU64(buf, s.negInf)
-	buf = appendU64(buf, s.nan)
-	buf = appendU64(buf, s.n)
+	buf = binx.AppendF64(buf, s.eps)
+	buf = le.AppendUint64(buf, s.zero)
+	buf = le.AppendUint64(buf, s.posInf)
+	buf = le.AppendUint64(buf, s.negInf)
+	buf = le.AppendUint64(buf, s.nan)
+	buf = le.AppendUint64(buf, s.n)
 	buf = appendBuckets(buf, s.pos)
 	buf = appendBuckets(buf, s.neg)
 	return buf, nil
@@ -224,37 +129,22 @@ func (s *QuantileSketch) MarshalBinary() ([]byte, error) {
 // Gamma and its log are rederived from the stored epsilon bits, so bucket
 // boundaries of future Adds are bit-identical to the snapshotted sketch's.
 func (s *QuantileSketch) UnmarshalBinary(data []byte) error {
-	r := binReader{buf: data}
-	if err := r.header(sketchKind); err != nil {
+	r := binx.NewReader(data, ErrSnapshot)
+	if err := readHeader(r, sketchKind); err != nil {
 		return err
 	}
-	eps, err := r.f64()
-	if err != nil {
+	eps := r.F64()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	out, err := NewQuantileSketch(eps)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
-	if out.zero, err = r.u64(); err != nil {
-		return err
-	}
-	if out.posInf, err = r.u64(); err != nil {
-		return err
-	}
-	if out.negInf, err = r.u64(); err != nil {
-		return err
-	}
-	if out.nan, err = r.u64(); err != nil {
-		return err
-	}
-	if out.n, err = r.u64(); err != nil {
-		return err
-	}
-	if out.pos, err = readBuckets(&r); err != nil {
-		return err
-	}
-	if out.neg, err = readBuckets(&r); err != nil {
+	out.zero, out.posInf, out.negInf, out.nan, out.n = r.U64(), r.U64(), r.U64(), r.U64(), r.U64()
+	out.pos = readBuckets(r)
+	out.neg = readBuckets(r)
+	if err := r.End(); err != nil {
 		return err
 	}
 	*s = *out
@@ -282,12 +172,12 @@ func (s *QuantileSketch) Clone() *QuantileSketch {
 func (r *Reservoir) MarshalBinary() ([]byte, error) {
 	buf := appendHeader(nil, reservoirKind)
 	buf = binary.AppendUvarint(buf, uint64(r.capacity))
-	buf = appendU64(buf, uint64(r.seed))
-	buf = appendU64(buf, r.seen)
-	buf = appendU64(buf, r.src.n)
+	buf = le.AppendUint64(buf, uint64(r.seed))
+	buf = le.AppendUint64(buf, r.seen)
+	buf = le.AppendUint64(buf, r.src.n)
 	buf = binary.AppendUvarint(buf, uint64(len(r.sample)))
 	for _, x := range r.sample {
-		buf = appendF64(buf, x)
+		buf = binx.AppendF64(buf, x)
 	}
 	return buf, nil
 }
@@ -311,32 +201,20 @@ const maxDrawsPerSeen = 8
 // before the generator replay, like every other count, so the replay
 // cost is bounded by counts that agree with each other.
 func (r *Reservoir) unmarshal(data []byte, wantSeen *uint64) error {
-	br := binReader{buf: data}
-	if err := br.header(reservoirKind); err != nil {
+	br := binx.NewReader(data, ErrSnapshot)
+	if err := readHeader(br, reservoirKind); err != nil {
 		return err
 	}
-	capacity, err := br.uvarint()
-	if err != nil {
+	capacity := br.Uvarint()
+	seed, seen, draws := br.U64(), br.U64(), br.U64()
+	// Every sample value is eight bytes, so the blob bounds the sample
+	// length before anything is allocated for it.
+	n := uint64(br.Count(8))
+	if err := br.Err(); err != nil {
 		return err
 	}
 	if capacity == 0 || capacity > math.MaxInt32 {
 		return fmt.Errorf("%w: reservoir capacity %d", ErrSnapshot, capacity)
-	}
-	seed, err := br.u64()
-	if err != nil {
-		return err
-	}
-	seen, err := br.u64()
-	if err != nil {
-		return err
-	}
-	draws, err := br.u64()
-	if err != nil {
-		return err
-	}
-	n, err := br.uvarint()
-	if err != nil {
-		return err
 	}
 	// The sample fills to capacity before any replacement draw, and a
 	// merge past capacity refills it to capacity.
@@ -353,9 +231,10 @@ func (r *Reservoir) unmarshal(data []byte, wantSeen *uint64) error {
 	out.seen = seen
 	out.sample = make([]float64, n)
 	for i := range out.sample {
-		if out.sample[i], err = br.f64(); err != nil {
-			return err
-		}
+		out.sample[i] = br.F64()
+	}
+	if err := br.End(); err != nil {
+		return err
 	}
 	out.src.fastForward(draws)
 	*r = *out
@@ -379,8 +258,8 @@ func (a *Accumulator) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing a.
 func (a *Accumulator) UnmarshalBinary(data []byte) error {
-	r := binReader{buf: data}
-	if err := r.header(accumulatorKind); err != nil {
+	r := binx.NewReader(data, ErrSnapshot)
+	if err := readHeader(r, accumulatorKind); err != nil {
 		return err
 	}
 	var out Accumulator
@@ -390,12 +269,8 @@ func (a *Accumulator) UnmarshalBinary(data []byte) error {
 	// the observation count; the reservoir checks it before its replay.
 	reservoir := func(b []byte) error { return out.res.unmarshal(b, &out.moments.n) }
 	for _, unmarshal := range []func([]byte) error{out.moments.UnmarshalBinary, out.sketch.UnmarshalBinary, reservoir} {
-		n, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		b, err := r.bytes(int(n))
-		if err != nil {
+		b := r.Bytes(r.Count(1))
+		if err := r.Err(); err != nil {
 			return err
 		}
 		if err := unmarshal(b); err != nil {
@@ -405,8 +280,8 @@ func (a *Accumulator) UnmarshalBinary(data []byte) error {
 	if out.sketch.n != out.moments.n {
 		return fmt.Errorf("%w: sketch holds %d observations, moments %d", ErrSnapshot, out.sketch.n, out.moments.n)
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrSnapshot, len(r.buf))
+	if err := r.End(); err != nil {
+		return err
 	}
 	*a = out
 	return nil

@@ -6,7 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"hpcfail/internal/binx"
 )
 
 // bitsEqual compares floats by bit pattern, so NaN == NaN and -0 != 0 —
@@ -324,9 +327,9 @@ func TestSnapshotCountsBoundRestore(t *testing.T) {
 	}
 
 	sketch := appendHeader(nil, sketchKind)
-	sketch = appendF64(sketch, DefaultSketchEpsilon)
+	sketch = binx.AppendF64(sketch, DefaultSketchEpsilon)
 	for i := 0; i < 5; i++ {
-		sketch = appendU64(sketch, 0)
+		sketch = le.AppendUint64(sketch, 0)
 	}
 	sketch = binary.AppendUvarint(sketch, 1<<40)
 	if err := (&QuantileSketch{}).UnmarshalBinary(sketch); !errors.Is(err, ErrSnapshot) {
@@ -348,5 +351,51 @@ func TestSnapshotCountsBoundRestore(t *testing.T) {
 	}
 	if err := (&Accumulator{}).UnmarshalBinary(mixed); !errors.Is(err, ErrSnapshot) {
 		t.Errorf("sketch count disagreeing with moments: want ErrSnapshot, got %v", err)
+	}
+}
+
+// TestSnapshotReservoirSampleBoundedByBlob: a 134-byte accumulator blob
+// whose three parts agree on 1<<27 observations at capacity 1<<27 claims
+// a 1 GiB reservoir sample. The sample length must be checked against
+// the bytes left in the blob before the sample is allocated.
+func TestSnapshotReservoirSampleBoundedByBlob(t *testing.T) {
+	const n = 1 << 27
+	le := binary.LittleEndian
+	moments := []byte{momentsKind, snapshotVersion}
+	moments = le.AppendUint64(moments, n)
+	for i := 0; i < 4; i++ {
+		moments = le.AppendUint64(moments, 0)
+	}
+	moments = append(moments, 0)
+	sketch := []byte{sketchKind, snapshotVersion}
+	sketch = le.AppendUint64(sketch, math.Float64bits(DefaultSketchEpsilon))
+	for _, v := range []uint64{n, 0, 0, 0, n} { // zero, ±Inf, NaN, total
+		sketch = le.AppendUint64(sketch, v)
+	}
+	sketch = append(sketch, 0, 0) // no positive or negative buckets
+	res := []byte{reservoirKind, snapshotVersion}
+	res = binary.AppendUvarint(res, n) // capacity
+	res = le.AppendUint64(res, 1)      // seed
+	res = le.AppendUint64(res, n)      // seen
+	res = le.AppendUint64(res, 0)      // draws
+	res = binary.AppendUvarint(res, n) // sample length, no sample bytes
+	blob := []byte{accumulatorKind, snapshotVersion}
+	for _, part := range [][]byte{moments, sketch, res} {
+		blob = binary.AppendUvarint(blob, uint64(len(part)))
+		blob = append(blob, part...)
+	}
+	if len(blob) != 134 {
+		t.Fatalf("blob is %d bytes, want 134", len(blob))
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := (&Accumulator{}).UnmarshalBinary(blob)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("want ErrSnapshot, got %v", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte blob allocated %d bytes", len(blob), d)
 	}
 }

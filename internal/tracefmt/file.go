@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/failures"
 )
 
@@ -78,9 +79,9 @@ func NewFile(ra io.ReaderAt, size int64) (*File, error) {
 }
 
 func (f *File) parseFooter(p []byte, footOff int64) error {
-	fr := fieldReader{buf: p}
-	f.records = fr.u64("record total")
-	nBlocks := int(fr.u32("block count"))
+	r := binx.NewReader(p, ErrFormat)
+	f.records = r.U64()
+	nBlocks := int(r.U32())
 	if nBlocks < 0 || nBlocks > maxFramePayload/28 {
 		return fmt.Errorf("%w: footer block count %d", ErrFormat, nBlocks)
 	}
@@ -92,12 +93,12 @@ func (f *File) parseFooter(p []byte, footOff int64) error {
 	// bytes, or past the footer, is rejected here — before ScanParallel
 	// hands the entries to concurrent workers to dereference.
 	minOff := int64(headerSize)
-	for i := 0; i < nBlocks && fr.err == nil; i++ {
+	for i := 0; i < nBlocks && r.Err() == nil; i++ {
 		b := BlockInfo{
-			Offset:   int64(fr.u64("block offset")),
-			Records:  int(fr.u32("block records")),
-			MinStart: fr.i64("block min start"),
-			MaxStart: fr.i64("block max start"),
+			Offset:   int64(r.U64()),
+			Records:  int(r.U32()),
+			MinStart: int64(r.U64()),
+			MaxStart: int64(r.U64()),
 		}
 		if b.Records <= 0 || b.Records > maxFramePayload/recordWidth {
 			return fmt.Errorf("%w: footer block %d: %d records", ErrFormat, i, b.Records)
@@ -109,24 +110,19 @@ func (f *File) parseFooter(p []byte, footOff int64) error {
 		sum += uint64(b.Records)
 		f.blocks = append(f.blocks, b)
 	}
-	nHW := int(fr.u16("hw dict count"))
-	for i := 0; i < nHW && fr.err == nil; i++ {
-		l := int(fr.u16("hw label length"))
-		f.hwDict = append(f.hwDict, failures.HWType(fr.bytes(l, "hw label")))
+	nHW := int(r.U16())
+	for i := 0; i < nHW && r.Err() == nil; i++ {
+		f.hwDict = append(f.hwDict, failures.HWType(r.Bytes(int(r.U16()))))
 	}
-	nDet := int(fr.u32("detail dict count"))
+	nDet := int(r.U32())
 	if nDet > maxDetailDict {
 		return fmt.Errorf("%w: detail dictionary count %d", ErrFormat, nDet)
 	}
-	for i := 0; i < nDet && fr.err == nil; i++ {
-		l := int(fr.u16("detail label length"))
-		f.detDict = append(f.detDict, string(fr.bytes(l, "detail label")))
+	for i := 0; i < nDet && r.Err() == nil; i++ {
+		f.detDict = append(f.detDict, string(r.Bytes(int(r.U16()))))
 	}
-	if fr.err != nil {
-		return fr.err
-	}
-	if fr.off != len(p) {
-		return fmt.Errorf("%w: %d trailing footer bytes", ErrFormat, len(p)-fr.off)
+	if err := r.End(); err != nil {
+		return err
 	}
 	if sum != f.records {
 		return fmt.Errorf("%w: footer total %d, blocks sum to %d", ErrFormat, f.records, sum)

@@ -38,7 +38,6 @@ package tracefmt
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 )
 
@@ -130,80 +129,4 @@ type BlockInfo struct {
 // keep a fully open window able to match math.MaxInt64 itself.
 func (b BlockInfo) overlaps(fromN, toInc int64) bool {
 	return b.MaxStart >= fromN && b.MinStart <= toInc
-}
-
-// appendUvarint-style helpers are deliberately absent: every field is
-// fixed-width so that offsets are computable without scanning.
-
-func appendU16(b []byte, v uint16) []byte {
-	return append(b, byte(v), byte(v>>8))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func appendI64(b []byte, v int64) []byte { return appendU64(b, uint64(v)) }
-
-// fieldReader cursors over a payload with bounds checking; the first
-// out-of-range read poisons it, and callers check err once at the end of
-// a parse instead of after every field.
-type fieldReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *fieldReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s at offset %d", ErrFormat, what, r.off)
-	}
-}
-
-func (r *fieldReader) u16(what string) uint16 {
-	if r.err != nil || r.off+2 > len(r.buf) {
-		r.fail(what)
-		return 0
-	}
-	v := le.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *fieldReader) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail(what)
-		return 0
-	}
-	v := le.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *fieldReader) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail(what)
-		return 0
-	}
-	v := le.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *fieldReader) i64(what string) int64 { return int64(r.u64(what)) }
-
-func (r *fieldReader) bytes(n int, what string) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail(what)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
 }

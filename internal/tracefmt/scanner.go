@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"hpcfail/internal/binx"
 	"hpcfail/internal/failures"
 )
 
@@ -196,45 +197,43 @@ func readFrame(r io.Reader, buf *[]byte) (byte, []byte, error) {
 // dictionaries were preloaded from the footer and skipped blocks may
 // already have contributed entries.
 func parseBlock(p []byte, hwDict *[]failures.HWType, detDict *[]string, appendDicts bool) (n int, minStart, maxStart int64, colOff int, err error) {
-	fr := fieldReader{buf: p}
-	n = int(fr.u32("record count"))
-	minStart = fr.i64("min start")
-	maxStart = fr.i64("max start")
-	nHW := int(fr.u16("hw dict count"))
-	for i := 0; i < nHW; i++ {
-		l := int(fr.u16("hw label length"))
-		b := fr.bytes(l, "hw label")
-		if appendDicts && fr.err == nil {
+	r := binx.NewReader(p, ErrFormat)
+	n = int(r.U32())
+	minStart = int64(r.U64())
+	maxStart = int64(r.U64())
+	nHW := int(r.U16())
+	for i := 0; i < nHW && r.Err() == nil; i++ {
+		b := r.Bytes(int(r.U16()))
+		if appendDicts && r.Err() == nil {
 			if len(*hwDict) >= maxHWDict {
 				return 0, 0, 0, 0, fmt.Errorf("%w: hardware dictionary overflow", ErrFormat)
 			}
 			*hwDict = append(*hwDict, failures.HWType(b))
 		}
 	}
-	nDet := int(fr.u32("detail dict count"))
+	nDet := int(r.U32())
 	if nDet > maxDetailDict {
 		return 0, 0, 0, 0, fmt.Errorf("%w: detail dictionary count %d", ErrFormat, nDet)
 	}
-	for i := 0; i < nDet; i++ {
-		l := int(fr.u16("detail label length"))
-		b := fr.bytes(l, "detail label")
-		if appendDicts && fr.err == nil {
+	for i := 0; i < nDet && r.Err() == nil; i++ {
+		b := r.Bytes(int(r.U16()))
+		if appendDicts && r.Err() == nil {
 			if len(*detDict) >= maxDetailDict {
 				return 0, 0, 0, 0, fmt.Errorf("%w: detail dictionary overflow", ErrFormat)
 			}
 			*detDict = append(*detDict, string(b))
 		}
 	}
-	if fr.err != nil {
-		return 0, 0, 0, 0, fr.err
+	if err := r.Err(); err != nil {
+		return 0, 0, 0, 0, err
 	}
 	if n < 0 || n > maxFramePayload/recordWidth {
 		return 0, 0, 0, 0, fmt.Errorf("%w: block record count %d", ErrFormat, n)
 	}
-	if want := fr.off + n*recordWidth; want != len(p) {
+	if want := r.Offset() + n*recordWidth; want != len(p) {
 		return 0, 0, 0, 0, fmt.Errorf("%w: block is %d bytes, columns need %d", ErrFormat, len(p), want)
 	}
-	return n, minStart, maxStart, fr.off, nil
+	return n, minStart, maxStart, r.Offset(), nil
 }
 
 // decodeColumns appends the n records of a block's column section

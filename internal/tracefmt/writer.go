@@ -246,33 +246,33 @@ func appendBlockFrame(dst []byte, rows []encRow, hwNew []failures.HWType, detNew
 			maxS = r.startN
 		}
 	}
-	dst = appendU32(dst, uint32(len(rows)))
-	dst = appendI64(dst, minS)
-	dst = appendI64(dst, maxS)
-	dst = appendU16(dst, uint16(len(hwNew)))
+	dst = le.AppendUint32(dst, uint32(len(rows)))
+	dst = le.AppendUint64(dst, uint64(minS))
+	dst = le.AppendUint64(dst, uint64(maxS))
+	dst = le.AppendUint16(dst, uint16(len(hwNew)))
 	for _, hw := range hwNew {
-		dst = appendU16(dst, uint16(len(hw)))
+		dst = le.AppendUint16(dst, uint16(len(hw)))
 		dst = append(dst, hw...)
 	}
-	dst = appendU32(dst, uint32(len(detNew)))
+	dst = le.AppendUint32(dst, uint32(len(detNew)))
 	for _, det := range detNew {
-		dst = appendU16(dst, uint16(len(det)))
+		dst = le.AppendUint16(dst, uint16(len(det)))
 		dst = append(dst, det...)
 	}
 	for _, r := range rows {
-		dst = appendI64(dst, r.startN)
+		dst = le.AppendUint64(dst, uint64(r.startN))
 	}
 	for _, r := range rows {
-		dst = appendI64(dst, r.endD)
+		dst = le.AppendUint64(dst, uint64(r.endD))
 	}
 	for _, r := range rows {
-		dst = appendU32(dst, r.sys)
+		dst = le.AppendUint32(dst, r.sys)
 	}
 	for _, r := range rows {
-		dst = appendU32(dst, r.nod)
+		dst = le.AppendUint32(dst, r.nod)
 	}
 	for _, r := range rows {
-		dst = appendU16(dst, r.hw)
+		dst = le.AppendUint16(dst, r.hw)
 	}
 	for _, r := range rows {
 		dst = append(dst, r.wl)
@@ -281,7 +281,7 @@ func appendBlockFrame(dst []byte, rows []encRow, hwNew []failures.HWType, detNew
 		dst = append(dst, r.cause)
 	}
 	for _, r := range rows {
-		dst = appendU32(dst, r.det)
+		dst = le.AppendUint32(dst, r.det)
 	}
 	payload := dst[base+frameSize:]
 	if len(payload) > maxFramePayload {
@@ -523,22 +523,22 @@ func (w *Writer) Close() error {
 	}
 	footerOffset := w.offset
 	p := w.scratch[:0]
-	p = appendU64(p, w.total)
-	p = appendU32(p, uint32(len(w.index)))
+	p = le.AppendUint64(p, w.total)
+	p = le.AppendUint32(p, uint32(len(w.index)))
 	for _, b := range w.index {
-		p = appendU64(p, uint64(b.Offset))
-		p = appendU32(p, uint32(b.Records))
-		p = appendI64(p, b.MinStart)
-		p = appendI64(p, b.MaxStart)
+		p = le.AppendUint64(p, uint64(b.Offset))
+		p = le.AppendUint32(p, uint32(b.Records))
+		p = le.AppendUint64(p, uint64(b.MinStart))
+		p = le.AppendUint64(p, uint64(b.MaxStart))
 	}
-	p = appendU16(p, uint16(len(w.hwAll)))
+	p = le.AppendUint16(p, uint16(len(w.hwAll)))
 	for _, hw := range w.hwAll {
-		p = appendU16(p, uint16(len(hw)))
+		p = le.AppendUint16(p, uint16(len(hw)))
 		p = append(p, hw...)
 	}
-	p = appendU32(p, uint32(len(w.detAll)))
+	p = le.AppendUint32(p, uint32(len(w.detAll)))
 	for _, det := range w.detAll {
-		p = appendU16(p, uint16(len(det)))
+		p = le.AppendUint16(p, uint16(len(det)))
 		p = append(p, det...)
 	}
 	if err := w.writeFrame(frameFooter, p); err != nil {
