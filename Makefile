@@ -3,9 +3,10 @@ GO ?= go
 .PHONY: check vet staticcheck build test race race-gen race-serve race-sweep race-trace race-codec race-engine fuzz fuzz-smoke bench bench-perf golden golden-sweep
 
 # The full gate: what CI runs — static checks, build, the race detector
-# over every test, focused race passes over the parallel generator, the
-# daemon, the sweep engine, the binary trace pipeline, the parallel
-# trace codec and the sub-shard analysis pipeline, and short fuzz smokes
+# over every test, focused race passes over the worker-pool primitives
+# (internal/par) and the parallel generator, the daemon, the sweep
+# engine, the binary trace pipeline, the parallel trace codec and the
+# sub-shard analysis pipeline, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser, the
 # binary trace round trip, the incremental-snapshot restore, and the
 # daemon's WAL-payload and server-snapshot restore.
@@ -32,9 +33,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race smoke of the parallel/streaming generator specifically: worker
-# pools, stream back-pressure and early close under the race detector.
+# Race smoke of the worker-pool primitives every pipeline runs on
+# (internal/par: For, the ordered Pipe, its window bound and Close) and
+# of the parallel/streaming generator built on them: stream
+# back-pressure and early close under the race detector.
 race-gen:
+	$(GO) test -race ./internal/par
 	$(GO) test -race -run 'Workers|Stream|Subset' ./internal/lanl
 
 # Race pass over the daemon and its client: concurrent ingest, queries

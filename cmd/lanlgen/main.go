@@ -30,13 +30,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"hpcfail/internal/failures"
 	"hpcfail/internal/lanl"
+	"hpcfail/internal/par"
 	"hpcfail/internal/tracefmt"
 )
 
@@ -124,10 +125,7 @@ func run(args []string, stdout io.Writer) error {
 	var finish func() error
 	var count func() int
 	if *format == "bin" {
-		encWorkers := *workers
-		if encWorkers <= 0 {
-			encWorkers = runtime.GOMAXPROCS(0)
-		}
+		encWorkers := par.Workers(*workers, math.MaxInt)
 		bw, err := tracefmt.NewWriter(w, tracefmt.WriterOptions{Workers: encWorkers})
 		if err != nil {
 			return fmt.Errorf("write: %w", err)

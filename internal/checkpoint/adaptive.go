@@ -110,7 +110,7 @@ func simulatePolicyOnce(cfg SimConfig, policy IntervalPolicy, src *randx.Source)
 		segment := math.Min(tau, cfg.WorkHours-done)
 		need := segment + cfg.CheckpointCost
 		if cfg.WorkHours-done <= tau {
-			need = segment
+			need = segment // final segment needs no checkpoint
 		}
 		if nextFailure > need {
 			wall += need
@@ -119,7 +119,10 @@ func simulatePolicyOnce(cfg SimConfig, policy IntervalPolicy, src *randx.Source)
 			done += segment
 			continue
 		}
-		wall += nextFailure + cfg.RestartCost
+		// Failure mid-segment: lose partial work, wait out the retry
+		// delay, pay restart, and draw a new failure horizon (the failed
+		// component is repaired/replaced, so the renewal restarts).
+		wall += nextFailure + cfg.RetryDelayHours + cfg.RestartCost
 		age = 0
 		nextFailure = cfg.TBF.Rand(src)
 	}

@@ -78,6 +78,38 @@ func TestSimulatePolicyMatchesFixedSimulation(t *testing.T) {
 	}
 }
 
+// TestSimulatePolicyPaysRetryDelay pins that the policy simulation
+// charges cfg.RetryDelayHours on every failure, as SimulateEfficiency
+// always has: a fixed policy must match it, and both the no-delay and
+// the delayed efficiencies keep their recorded values.
+func TestSimulatePolicyPaysRetryDelay(t *testing.T) {
+	w, err := dist.NewWeibull(0.7, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ delay, want float64 }{
+		{0, 0.78077976904544233},
+		{5, 0.6502126496058469},
+	} {
+		cfg := SimConfig{
+			TBF: w, CheckpointCost: 0.5, RestartCost: 0.25,
+			RetryDelayHours: c.delay, WorkHours: 500, Seed: 3,
+		}
+		plain, err := SimulateEfficiency(cfg, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policy, err := SimulatePolicyEfficiency(cfg, FixedPolicy(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain != c.want || policy != c.want {
+			t.Fatalf("delay %g: SimulateEfficiency %.17g, fixed policy %.17g, want %.17g",
+				c.delay, plain, policy, c.want)
+		}
+	}
+}
+
 func TestHazardPolicyBeatsFixedUnderWeibull(t *testing.T) {
 	// Under a strongly decreasing hazard, adapting the interval to uptime
 	// should outperform the best fixed interval tuned by Young's rule.

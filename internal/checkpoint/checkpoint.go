@@ -14,7 +14,6 @@ import (
 
 	"hpcfail/internal/dist"
 	"hpcfail/internal/mathx"
-	"hpcfail/internal/randx"
 )
 
 // ErrBadInput is returned for non-positive costs or rates.
@@ -100,54 +99,13 @@ func (c SimConfig) validate() error {
 // SimulateEfficiency estimates the useful-work fraction achieved with
 // checkpoint interval tau under the configured failure process. Failures
 // are drawn as a renewal process from cfg.TBF; each failure destroys work
-// since the last checkpoint and costs RestartCost.
+// since the last checkpoint and costs RetryDelayHours + RestartCost. It
+// is SimulatePolicyEfficiency under FixedPolicy(tau).
 func SimulateEfficiency(cfg SimConfig, tau float64) (float64, error) {
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
 	if tau <= 0 {
 		return 0, fmt.Errorf("checkpoint sim: tau=%g: %w", tau, ErrBadInput)
 	}
-	reps := cfg.Replications
-	if reps <= 0 {
-		reps = 32
-	}
-	src := randx.NewSource(cfg.Seed)
-	var totalWall float64
-	for r := 0; r < reps; r++ {
-		rep := src.Split()
-		totalWall += simulateOnce(cfg, tau, rep)
-	}
-	meanWall := totalWall / float64(reps)
-	return cfg.WorkHours / meanWall, nil
-}
-
-// simulateOnce runs one replication and returns the wall-clock hours needed
-// to finish cfg.WorkHours of useful work.
-func simulateOnce(cfg SimConfig, tau float64, src *randx.Source) float64 {
-	var wall float64
-	var done float64                 // checkpointed work
-	nextFailure := cfg.TBF.Rand(src) // time until next failure, from now
-	for done < cfg.WorkHours {
-		segment := math.Min(tau, cfg.WorkHours-done)
-		need := segment + cfg.CheckpointCost
-		if cfg.WorkHours-done <= tau {
-			need = segment // final segment needs no checkpoint
-		}
-		if nextFailure > need {
-			// Segment completes.
-			wall += need
-			nextFailure -= need
-			done += segment
-			continue
-		}
-		// Failure mid-segment: lose partial work, wait out the retry
-		// delay, pay restart, and draw a new failure horizon (the failed
-		// component is repaired/replaced, so the renewal restarts).
-		wall += nextFailure + cfg.RetryDelayHours + cfg.RestartCost
-		nextFailure = cfg.TBF.Rand(src)
-	}
-	return wall
+	return SimulatePolicyEfficiency(cfg, FixedPolicy(tau))
 }
 
 // OptimizeInterval finds the checkpoint interval that maximizes simulated

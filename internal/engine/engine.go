@@ -20,12 +20,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"hpcfail/internal/dist"
+	"hpcfail/internal/par"
 	"hpcfail/internal/stats"
 )
 
@@ -116,9 +116,6 @@ type sampleEntry struct {
 
 // New returns an Engine for the given options.
 func New(opts Options) *Engine {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	if opts.BootstrapReps == 0 {
 		opts.BootstrapReps = 200
 	}
@@ -126,7 +123,7 @@ func New(opts Options) *Engine {
 		opts.Level = 0.95
 	}
 	return &Engine{
-		workers: opts.Workers,
+		workers: par.Workers(opts.Workers, math.MaxInt),
 		reps:    opts.BootstrapReps,
 		level:   opts.Level,
 		seed:    opts.Seed,

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"hpcfail/internal/dist"
 	"hpcfail/internal/failures"
+	"hpcfail/internal/par"
 	"hpcfail/internal/stats"
 	"hpcfail/internal/streamstats"
 )
@@ -54,51 +54,6 @@ type shardJob struct {
 	records int
 	inter   sampleState
 	repair  sampleState
-}
-
-// runPhase executes fn(0..n-1) over the engine's bounded worker pool,
-// feeding indexes in order (callers pre-sort for largest-first dispatch).
-// Each index owns its output slot, so phases need no locking beyond the
-// engine's own memo maps. Cancellation stops the feed; callers check
-// ctx.Err() between phases.
-func (e *Engine) runPhase(ctx context.Context, n int, fn func(int)) {
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // orderJobs returns the jobs in dispatch order: largest first (stable on
@@ -199,7 +154,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 	ord := e.orderJobs(jobs)
 
 	// Phase 1: prepare (slice, summarize, intern), largest shard first.
-	e.runPhase(ctx, len(ord), func(i int) { e.prepareJob(ord[i], d, spec) })
+	par.For(ctx, len(ord), e.workers, func(i int) { e.prepareJob(ord[i], d, spec) })
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -229,7 +184,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 			}
 		}
 	}
-	e.runPhase(ctx, len(fitTasks), func(i int) { e.fitOne(fitTasks[i].s, fitTasks[i].f) })
+	par.For(ctx, len(fitTasks), e.workers, func(i int) { e.fitOne(fitTasks[i].s, fitTasks[i].f) })
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -263,7 +218,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 				}
 			}
 		}
-		e.runPhase(ctx, len(targets), func(i int) {
+		par.For(ctx, len(targets), e.workers, func(i int) {
 			t := targets[i]
 			t.plan, t.planErr = dist.NewCIPlan(t.f, t.s, e.reps, e.level, e.taskSeed(t.s.Hash(), t.f))
 		})
@@ -286,7 +241,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 				btasks = append(btasks, blockTask{t: t, b: b})
 			}
 		}
-		e.runPhase(ctx, len(btasks), func(i int) {
+		par.For(ctx, len(btasks), e.workers, func(i int) {
 			bt := btasks[i]
 			sp := bt.t.spans[bt.b]
 			bt.t.blocks[bt.b] = bt.t.plan.RunBlock(sp[0], sp[1])

@@ -3,7 +3,6 @@ package lanl
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -66,21 +65,6 @@ func NewGenerator(cfg Config) *Generator {
 	return &Generator{cfg: cfg, hw: compiledTables()}
 }
 
-// workers resolves the configured worker count against n pending tasks.
-func (g *Generator) workers(n int) int {
-	w := g.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // systemTask pairs a catalog system with its pre-split randomness source.
 type systemTask struct {
 	sys System
@@ -114,51 +98,6 @@ func (g *Generator) systemTasks() []systemTask {
 	return tasks
 }
 
-// generateBlocks runs the per-system generators across a bounded worker
-// pool and returns each system's sorted record block, indexed like tasks.
-// One worker degenerates to a plain loop with no goroutines.
-func (g *Generator) generateBlocks(tasks []systemTask) ([][]failures.Record, error) {
-	blocks := make([][]failures.Record, len(tasks))
-	errs := make([]error, len(tasks))
-	run := func(i int) {
-		t := tasks[i]
-		records, err := g.generateSystem(t.sys, t.src)
-		if err != nil {
-			errs[i] = fmt.Errorf("generate system %d: %w", t.sys.ID, err)
-			return
-		}
-		blocks[i] = records
-	}
-	if w := g.workers(len(tasks)); w > 1 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					run(i)
-				}
-			}()
-		}
-		for i := range tasks {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range tasks {
-			run(i)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return blocks, nil
-}
-
 // Generate produces the full synthetic dataset across the configured
 // systems. Systems generate concurrently (see Config.Workers); the merge
 // is deterministic: blocks concatenate in catalog order and a stable
@@ -171,10 +110,22 @@ func (g *Generator) Generate() (*failures.Dataset, error) {
 			return nil, err
 		}
 	}
+	// The window spans every system: the merge needs all of them
+	// anyway, and a narrower one would hold idle workers behind a slow
+	// system early in catalog order.
 	tasks := g.systemTasks()
-	blocks, err := g.generateBlocks(tasks)
-	if err != nil {
-		return nil, err
+	p := g.systems(tasks, len(tasks))
+	defer p.Close()
+	blocks := make([][]failures.Record, 0, len(tasks))
+	for {
+		b, ok := p.Next()
+		if !ok {
+			break
+		}
+		if b.err != nil {
+			return nil, b.err
+		}
+		blocks = append(blocks, b.records)
 	}
 	return failures.NewDatasetSorted(failures.MergeSortedBlocks(blocks))
 }

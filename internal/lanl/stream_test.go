@@ -2,7 +2,10 @@ package lanl
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"hpcfail/internal/failures"
 )
@@ -123,4 +126,62 @@ func TestRecordStreamEarlyClose(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatalf("early close surfaced error: %v", err)
 	}
+}
+
+// generatorGoroutines returns the stacks of the goroutines, other than
+// the caller's, that are inside Generator code: generating a system or
+// waiting to.
+func generatorGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var busy []string
+	for i, g := range strings.Split(string(buf), "\n\n") {
+		if i > 0 && strings.Contains(g, "lanl.(*Generator)") {
+			busy = append(busy, g)
+		}
+	}
+	return busy
+}
+
+// backToBaseline waits for runtime.NumGoroutine to return to base: a
+// goroutine that has finished its work can take the runtime a moment,
+// milliseconds under -race, to retire.
+func backToBaseline(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestStreamReleasesGoroutines pins that GenerateStream, on an emit
+// error, and RecordStream.Close return only after every generator
+// goroutine has finished — not while the pool is still generating the
+// systems it had admitted — and that the goroutine count then returns
+// to its baseline.
+func TestStreamReleasesGoroutines(t *testing.T) {
+	cfg := Config{Seed: 1, Workers: 4, RateScale: 20}
+	sentinel := errors.New("stop")
+	base := runtime.NumGoroutine()
+	err := NewGenerator(cfg).GenerateStream(func(failures.Record) error { return sentinel })
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want sentinel", err)
+	}
+	if busy := generatorGoroutines(); len(busy) > 0 {
+		t.Fatalf("GenerateStream returned with %d goroutines in generator code:\n%s", len(busy), busy[0])
+	}
+	backToBaseline(t, base, "GenerateStream")
+
+	s := NewGenerator(cfg).Stream()
+	if !s.Scan() {
+		t.Fatalf("empty stream: %v", s.Err())
+	}
+	s.Close()
+	if busy := generatorGoroutines(); len(busy) > 0 {
+		t.Fatalf("RecordStream.Close returned with %d goroutines in generator code:\n%s", len(busy), busy[0])
+	}
+	backToBaseline(t, base, "RecordStream.Close")
 }

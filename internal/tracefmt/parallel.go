@@ -2,50 +2,59 @@ package tracefmt
 
 import (
 	"io"
-	"runtime"
-	"sync"
 
 	"hpcfail/internal/failures"
+	"hpcfail/internal/par"
 )
 
-// decBatch carries one decoded block from a producer to the consumer.
-// Batches arrive on the out channel in block order; ready is closed
-// once recs and err are final, so the consumer can wait for a specific
-// block while later blocks are still being decoded.
-type decBatch struct {
-	info  BlockInfo
-	recs  []failures.Record
-	err   error
-	ready chan struct{}
+// freeList recycles buffers without ever blocking: get returns the zero
+// value when the list is empty and put drops the buffer when it is
+// full. A par.Pipe's Close discards the jobs in flight together with
+// their buffers, so a list that blocked until buffers came back could
+// wait forever.
+type freeList[T any] chan T
+
+func (f freeList[T]) get() (v T) {
+	select {
+	case v = <-f:
+	default:
+	}
+	return v
 }
 
-// closedChan is the pre-closed ready channel of the streaming
-// read-ahead producer, whose batches are final at publication time.
-var closedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
+func (f freeList[T]) put(v T) {
+	select {
+	case f <- v:
+	default:
+	}
+}
+
+// decBatch is one block on its way through a ParallelScanner: its index
+// entry in, its in-window records (or the error that stopped the scan)
+// out. Batches and their record buffers cycle through the scanner's
+// free list.
+type decBatch struct {
+	info BlockInfo
+	recs []failures.Record
+	err  error
+}
 
 // ParallelScanner yields the records of a binary trace in the same
 // order as Scanner — byte-identical analysis results at any worker
-// count — while the decode work runs ahead on other goroutines. It
-// implements the engine.RecordSource shape (Scan/Record/Err) and
-// ScanBatch (engine.BatchSource), which is the intended way to consume
-// it: one whole decoded block per call, no per-record hand-off.
+// count — while the decode work runs ahead on a par.Pipe. It implements
+// the engine.RecordSource shape (Scan/Record/Err) and ScanBatch
+// (engine.BatchSource), which is the intended way to consume it: one
+// whole decoded block per call, no per-record hand-off.
 //
-// Record buffers are pooled: a fixed set of slices cycles between the
-// producers and the consumer, so steady-state decoding allocates only
-// when a block outgrows its reused buffer. Close releases the worker
-// goroutines early; letting the scan run to its end (or first error)
-// releases them too.
+// Record buffers are pooled: the batches the consumer has moved past
+// return to a free list the producer draws from, so steady-state
+// decoding allocates only when a block outgrows its reused buffer.
+// Close releases the goroutines early; letting the scan run to its end
+// (or first error) releases them too.
 type ParallelScanner struct {
-	out  chan *decBatch         // producer → consumer, block order
-	free chan []failures.Record // recycled record buffers
-	stop chan struct{}
-
-	stopOnce sync.Once
-	drained  bool
+	pipe  *par.Pipe[*decBatch, *decBatch]
+	free  freeList[*decBatch]
+	batch *decBatch // the batch cur belongs to
 
 	cur     []failures.Record
 	i       int
@@ -55,111 +64,83 @@ type ParallelScanner struct {
 	scanned int
 }
 
-func newParallelScanner(inflight int) *ParallelScanner {
-	p := &ParallelScanner{
-		out:  make(chan *decBatch, inflight),
-		free: make(chan []failures.Record, inflight),
-		stop: make(chan struct{}),
+// freeBatch returns a recycled batch, or a new one when none is free.
+func (p *ParallelScanner) freeBatch() *decBatch {
+	if d := p.free.get(); d != nil {
+		return d
 	}
-	for i := 0; i < inflight; i++ {
-		p.free <- nil
-	}
-	return p
+	return &decBatch{}
 }
 
 // ScanParallel scans the trace with a pool of block-decode workers over
-// the footer index: a dispatcher walks the index in order, skipping
-// blocks the time window cannot touch (they are never read), and
-// publishes each remaining block to the consumer before handing it to
-// the pool, so blocks re-emit strictly in index order no matter which
-// worker finishes first. workers <= 0 uses GOMAXPROCS. The returned
-// scanner yields exactly the records of f.Scan(opts), in the same
-// order.
+// the footer index: the pipe's feeder walks the index in order,
+// skipping blocks the time window cannot touch (they are never read),
+// and the pipe hands decoded blocks back strictly in index order no
+// matter which worker finishes first. workers <= 0 uses GOMAXPROCS. At
+// most workers+2 blocks are decoded or waiting, the consumer's current
+// one included (see DESIGN.md, "Worker pools"). The returned scanner
+// yields exactly the records of f.Scan(opts), in the same order.
 func (f *File) ScanParallel(opts ScanOptions, workers int) *ParallelScanner {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n := len(f.blocks); n > 0 && workers > n {
-		workers = n
-	}
+	workers = par.Workers(workers, len(f.blocks))
+	window := workers + 2
 	fromN, toInc := scanBounds(opts)
-	inflight := workers + 2
-	p := newParallelScanner(inflight)
-	work := make(chan *decBatch, inflight)
-
-	// Dispatcher: the free channel is both the buffer pool and the
-	// backpressure bound — at most inflight blocks are decoded ahead
-	// of the consumer. Because order-publication (out) and decode
-	// hand-off (work) both have capacity inflight and every batch
-	// holds a free token, neither send can block; the dispatcher only
-	// ever waits on free or stop.
-	go func() {
-		defer close(work)
-		defer close(p.out)
-		for _, b := range f.blocks {
-			if !b.overlaps(fromN, toInc) {
-				continue
+	p := &ParallelScanner{free: make(freeList[*decBatch], window)}
+	// At most workers decodes run at once, so this many frame buffers
+	// are all any of them waits for.
+	frames := make(freeList[[]byte], workers)
+	i := 0
+	next := func() (*decBatch, bool) {
+		for i < len(f.blocks) {
+			b := f.blocks[i]
+			i++
+			if b.overlaps(fromN, toInc) {
+				d := p.freeBatch()
+				d.info = b
+				return d, true
 			}
-			var buf []failures.Record
-			select {
-			case buf = <-p.free:
-			case <-p.stop:
-				return
-			}
-			d := &decBatch{info: b, recs: buf, ready: make(chan struct{})}
-			p.out <- d
-			work <- d
 		}
-	}()
-	for i := 0; i < workers; i++ {
-		go func() {
-			var frameBuf []byte
-			for d := range work {
-				d.recs, frameBuf, d.err = f.decodeBlockAt(d.info, frameBuf, fromN, toInc, d.recs[:0])
-				close(d.ready)
-			}
-		}()
+		return nil, false
 	}
+	p.pipe = par.NewPipe(workers, window, next, func(d *decBatch) *decBatch {
+		frame := frames.get()
+		d.recs, frame, d.err = f.decodeBlockAt(d.info, frame, fromN, toInc, d.recs[:0])
+		frames.put(frame)
+		return d
+	})
 	return p
 }
 
 // NewScannerParallel is the streaming variant of ScanParallel for
-// inputs without random access (pipes, network streams): a single
-// producer goroutine runs a NewScanner over r, read-ahead-decoding the
-// next blocks — frame read, CRC, dictionary deltas, column decode —
-// while the consumer drains the current one. Block-skipping windows
-// still apply (a skipped block costs only its prefix parse). The record
-// order and error behaviour match NewScanner exactly.
+// inputs without random access (pipes, network streams): the pipe's
+// feeder runs a NewScanner over r, read-ahead-decoding up to four
+// blocks — frame read, CRC, dictionary deltas, column decode — while
+// the consumer drains the current one. Block-skipping windows still
+// apply (a skipped block costs only its prefix parse). The record order
+// and error behaviour match NewScanner exactly.
 func NewScannerParallel(r io.Reader, opts ScanOptions) (*ParallelScanner, error) {
 	sc, err := NewScanner(r, opts)
 	if err != nil {
 		return nil, err
 	}
-	const inflight = 4
-	p := newParallelScanner(inflight)
-	go func() {
-		defer close(p.out)
-		for {
-			var buf []failures.Record
-			select {
-			case buf = <-p.free:
-			case <-p.stop:
-				return
-			}
-			recs, err := sc.decodeNext(buf)
-			if recs == nil && err == nil {
-				return
-			}
-			select {
-			case p.out <- &decBatch{recs: recs, err: err, ready: closedChan}:
-			case <-p.stop:
-				return
-			}
-			if err != nil {
-				return
-			}
+	const window = 4
+	p := &ParallelScanner{free: make(freeList[*decBatch], window)}
+	failed := false
+	next := func() (*decBatch, bool) {
+		if failed {
+			return nil, false
 		}
-	}()
+		d := p.freeBatch()
+		recs, err := sc.decodeNext(d.recs)
+		if recs == nil && err == nil {
+			return nil, false
+		}
+		d.recs, d.err = recs, err
+		failed = err != nil
+		return d, true
+	}
+	// Decoding a stream is sequential, so it happens in next; the one
+	// worker only passes the blocks along.
+	p.pipe = par.NewPipe(1, window, next, func(d *decBatch) *decBatch { return d })
 	return p, nil
 }
 
@@ -167,56 +148,26 @@ func NewScannerParallel(r io.Reader, opts ScanOptions) (*ParallelScanner, error)
 // non-empty one is decoded; nil means end of scan (p.err says whether
 // it was clean). On error it shuts the pipeline down before returning.
 func (p *ParallelScanner) nextBatch() []failures.Record {
-	if p.done || p.err != nil {
-		return nil
-	}
-	if p.cur != nil {
-		p.recycle(p.cur)
-		p.cur = nil
-	}
-	for {
-		d, ok := <-p.out
-		if !ok {
-			p.done = true
-			return nil
+	p.cur, p.i = nil, 0
+	for !p.done {
+		if p.batch != nil {
+			p.free.put(p.batch)
 		}
-		<-d.ready
-		if d.err != nil {
+		d, ok := p.pipe.Next()
+		p.batch = d
+		switch {
+		case !ok:
+			p.done = true
+		case d.err != nil:
 			p.err = d.err
-			p.done = true
-			p.recycle(d.recs)
-			p.shutdown()
-			return nil
+			p.Close()
+		case len(d.recs) > 0:
+			p.cur = d.recs
+			p.scanned += len(d.recs)
+			return d.recs
 		}
-		if len(d.recs) == 0 {
-			p.recycle(d.recs)
-			continue
-		}
-		p.cur = d.recs
-		p.i = 0
-		p.scanned += len(d.recs)
-		return d.recs
 	}
-}
-
-func (p *ParallelScanner) recycle(buf []failures.Record) {
-	select {
-	case p.free <- buf[:0]:
-	default:
-	}
-}
-
-// shutdown stops the producers and drains every in-flight batch, so no
-// worker is left blocked on a channel. Idempotent.
-func (p *ParallelScanner) shutdown() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	if p.drained {
-		return
-	}
-	p.drained = true
-	for d := range p.out {
-		<-d.ready
-	}
+	return nil
 }
 
 // Scan advances to the next record, reporting false at the end of the
@@ -270,9 +221,8 @@ func (p *ParallelScanner) Err() error { return p.err }
 // to finish. It is a no-op after the scan has already ended and always
 // safe to defer; records decoded but not yet consumed are discarded.
 func (p *ParallelScanner) Close() error {
-	p.shutdown()
+	p.pipe.Close()
 	p.done = true
-	p.cur = nil
-	p.i = 0
+	p.cur, p.i = nil, 0
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hpcfail/internal/failures"
+	"hpcfail/internal/par"
 )
 
 // WriterOptions configures a Writer; the zero value selects every
@@ -345,12 +346,12 @@ func (w *Writer) writeFrame(kind byte, payload []byte) error {
 
 func crc32Checksum(p []byte) uint32 { return crc32Update(0, p) }
 
-// ---- Parallel encode: bounded worker pool + block-order sequencer ----
+// ---- Parallel encode: par.Pipe + block-order sequencer ----
 
-// encJob carries one block's rows from the caller through a pool worker
+// encJob carries one block's rows from the caller through a pipe worker
 // (which renders the frame) to the sequencer (which writes frames in
-// submission order). Jobs are recycled through the free channel, so a
-// running Writer owns a fixed set of workers+2 row/frame buffers.
+// submission order). Jobs recycle through a free list, so a running
+// Writer holds workers+2 blocks in the pipe plus the one it is filling.
 type encJob struct {
 	rows   []encRow
 	hwNew  []failures.HWType
@@ -359,15 +360,14 @@ type encJob struct {
 	minS   int64
 	maxS   int64
 	err    error
-	done   chan struct{}
 }
 
 type parWriter struct {
-	w     io.Writer
-	jobs  chan *encJob // caller → workers
-	order chan *encJob // caller → sequencer, in submission order
-	free  chan *encJob // sequencer → caller, recycled
-	seqDn chan struct{}
+	w      io.Writer
+	submit chan *encJob // caller → pipe, in submission order
+	free   freeList[*encJob]
+	cur    *encJob // the job whose buffers the caller is filling
+	seqDn  chan struct{}
 
 	// Sequencer-owned until seqDn closes; merged back by shutdownPool.
 	offset int64
@@ -378,40 +378,39 @@ type parWriter struct {
 }
 
 func newParWriter(w io.Writer, offset int64, workers int) *parWriter {
-	inflight := workers + 2
+	window := workers + 2
 	p := &parWriter{
 		w:      w,
-		jobs:   make(chan *encJob),
-		order:  make(chan *encJob, inflight),
-		free:   make(chan *encJob, inflight),
+		submit: make(chan *encJob),
+		free:   make(freeList[*encJob], window),
+		cur:    &encJob{},
 		seqDn:  make(chan struct{}),
 		offset: offset,
 	}
-	for i := 0; i < inflight; i++ {
-		p.free <- &encJob{}
+	next := func() (*encJob, bool) {
+		j, ok := <-p.submit
+		return j, ok
 	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	go p.sequence()
-	return p
-}
-
-func (p *parWriter) worker() {
-	for j := range p.jobs {
+	pipe := par.NewPipe(workers, window, next, func(j *encJob) *encJob {
 		j.frame, j.minS, j.maxS, j.err = appendBlockFrame(j.frame[:0], j.rows, j.hwNew, j.detNew)
-		close(j.done)
-	}
+		return j
+	})
+	go p.sequence(pipe)
+	return p
 }
 
 // sequence writes finished frames in submission order — the only
 // goroutine touching the underlying writer while the pool runs. After
 // the first error it keeps draining (so dispatch and Close never block)
-// but writes nothing further.
-func (p *parWriter) sequence() {
+// but writes nothing further. It ends when the pipe does, after
+// shutdownPool closes submit.
+func (p *parWriter) sequence(pipe *par.Pipe[*encJob, *encJob]) {
 	defer close(p.seqDn)
-	for j := range p.order {
-		<-j.done
+	for {
+		j, ok := pipe.Next()
+		if !ok {
+			return
+		}
 		if p.getErr() == nil {
 			switch {
 			case j.err != nil:
@@ -432,11 +431,8 @@ func (p *parWriter) sequence() {
 				}
 			}
 		}
-		j.rows = j.rows[:0]
-		j.hwNew = j.hwNew[:0]
-		j.detNew = j.detNew[:0]
 		j.err = nil
-		p.free <- j
+		p.free.put(j)
 	}
 }
 
@@ -454,42 +450,39 @@ func (p *parWriter) setErr(err error) {
 	p.mu.Unlock()
 }
 
-// dispatchBlock hands the full block to the pool, swapping buffers with
-// a recycled job so the caller never copies rows. The free channel is
-// the backpressure bound: with all workers+2 jobs in flight the caller
-// blocks here until the sequencer retires one.
+// dispatchBlock hands the full block to the pipe and continues in the
+// buffers of a recycled job, so the caller never copies rows. The send
+// is the backpressure bound: with the pipe's window full the caller
+// blocks here until the sequencer retires a block.
 func (w *Writer) dispatchBlock() error {
-	if err := w.par.getErr(); err != nil {
+	p := w.par
+	if err := p.getErr(); err != nil {
 		return w.poison(err)
 	}
 	if len(w.rows) == 0 {
 		return nil
 	}
-	j := <-w.par.free
-	j.done = make(chan struct{})
-	j.rows, w.rows = w.rows, j.rows
-	j.hwNew, w.hwNew = w.hwNew, j.hwNew
-	j.detNew, w.detNew = w.detNew, j.detNew
+	j := p.cur
+	j.rows, j.hwNew, j.detNew = w.rows, w.hwNew, w.detNew
 	w.total += uint64(len(j.rows))
-	// Both sends are non-blocking by construction (order and free share
-	// a capacity, and every job in order came out of free), so the two
-	// channels always observe the same submission order.
-	w.par.order <- j
-	w.par.jobs <- j
+	p.submit <- j
+	if p.cur = p.free.get(); p.cur == nil {
+		p.cur = &encJob{}
+	}
+	w.rows, w.hwNew, w.detNew = p.cur.rows[:0], p.cur.hwNew[:0], p.cur.detNew[:0]
 	return nil
 }
 
-// shutdownPool stops the workers and sequencer, waits for every
-// dispatched block to be written, and merges the sequencer's offset and
-// index back into the Writer. Idempotent; returns the first async error.
+// shutdownPool ends the pipe, waits for every dispatched block to be
+// written, and merges the sequencer's offset and index back into the
+// Writer. Idempotent; returns the first async error.
 func (w *Writer) shutdownPool() error {
 	p := w.par
 	if p == nil {
 		return nil
 	}
 	w.par = nil
-	close(p.jobs)
-	close(p.order)
+	close(p.submit)
 	<-p.seqDn
 	w.offset = p.offset
 	w.index = p.index
