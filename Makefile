@@ -6,7 +6,7 @@ GO ?= go
 # over every test, focused race passes over the worker-pool primitives
 # (internal/par) and the parallel generator, the daemon, the sweep
 # engine, the binary trace pipeline, the parallel trace codec and the
-# sub-shard analysis pipeline, and short fuzz smokes
+# sub-shard analysis pipeline with its fit memo, and short fuzz smokes
 # of the CSV reader, the ingest endpoint, the sweep-spec parser, the
 # binary trace round trip, the incremental-snapshot restore, and the
 # daemon's WAL-payload and server-snapshot restore.
@@ -71,9 +71,10 @@ race-codec:
 
 # Race pass over the sub-shard analysis pipeline: the workers x seeds
 # byte-identity matrix for fleet and stream, the dispatch-order identity,
-# and the counter-seeded bootstrap partition-invariance tests.
+# the counter-seeded bootstrap partition-invariance tests, and the fit
+# memo: interning, forged hash collisions and concurrent lookups.
 race-engine:
-	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed' ./internal/engine ./internal/dist
+	$(GO) test -race -run 'SubShard|DispatchOrder|Partition|RepSeed|Memo|Intern' ./internal/engine ./internal/dist
 
 fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/failures

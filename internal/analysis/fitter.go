@@ -15,25 +15,6 @@ type Fitter interface {
 	FitAll(ctx context.Context, xs []float64, families ...dist.Family) (*dist.Comparison, error)
 }
 
-// SampleFitter is the optional fast path of Fitter: implementations that
-// can fit a precomputed dist.Sample directly, reusing its cached transforms
-// (log cache, sums, sorted order, ECDF) across all families instead of
-// re-deriving them from the raw slice. Both the sequential fitter and
-// *engine.Engine implement it; the analyses probe for it with a type
-// assertion so third-party Fitters keep working unchanged.
-type SampleFitter interface {
-	FitAllSample(ctx context.Context, s *dist.Sample, families ...dist.Family) (*dist.Comparison, error)
-}
-
-// fitAllVia fits xs through the fitter, taking the SampleFitter fast path
-// when the implementation offers one.
-func fitAllVia(ctx context.Context, fitter Fitter, xs []float64, families ...dist.Family) (*dist.Comparison, error) {
-	if sf, ok := fitter.(SampleFitter); ok {
-		return sf.FitAllSample(ctx, dist.NewSample(xs), families...)
-	}
-	return fitter.FitAll(ctx, xs, families...)
-}
-
 // seqFitter is the no-dependency default: plain sequential fitting.
 type seqFitter struct{}
 
@@ -42,13 +23,6 @@ func (seqFitter) FitAll(ctx context.Context, xs []float64, families ...dist.Fami
 		return nil, err
 	}
 	return dist.FitAll(xs, families...)
-}
-
-func (seqFitter) FitAllSample(ctx context.Context, s *dist.Sample, families ...dist.Family) (*dist.Comparison, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return dist.FitAllSample(s, families...)
 }
 
 // SequentialFitter returns the default Fitter that fits inline with no

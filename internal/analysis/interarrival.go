@@ -81,7 +81,7 @@ func StudyInterarrivalsWith(ctx context.Context, fitter Fitter, d *failures.Data
 	if err != nil {
 		return nil, fmt.Errorf("interarrival study: %w", err)
 	}
-	fits, err := fitAllVia(ctx, fitter, xs)
+	fits, err := fitter.FitAll(ctx, xs)
 	if err != nil {
 		return nil, fmt.Errorf("interarrival study: %w", err)
 	}

@@ -92,7 +92,7 @@ func RepairTimeFitsWith(ctx context.Context, fitter Fitter, d *failures.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("repair time fits: %w", err)
 	}
-	fits, err := fitAllVia(ctx, fitter, minutes)
+	fits, err := fitter.FitAll(ctx, minutes)
 	if err != nil {
 		return nil, fmt.Errorf("repair time fits: %w", err)
 	}

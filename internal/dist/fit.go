@@ -128,37 +128,48 @@ func FitAllSample(s *Sample, families ...Family) (*Comparison, error) {
 	if len(families) == 0 {
 		families = StandardFamilies()
 	}
-	ecdf, err := s.ECDF()
-	if err != nil {
+	if _, err := s.ECDF(); err != nil {
 		return nil, fmt.Errorf("fit all: %w", err)
 	}
-	results := make([]FitResult, 0, len(families))
-	for _, fam := range families {
-		res := FitResult{Family: fam}
-		d, err := FitSample(fam, s)
-		if err != nil {
-			res.Err = err
-			res.NLL = math.Inf(1)
-			res.AIC = math.Inf(1)
-			res.KS = math.NaN()
-		} else {
-			res.Dist = d
-			nll, err := NegLogLikelihoodSample(d, s)
-			if err != nil {
-				res.Err = err
-				res.NLL = math.Inf(1)
-			} else {
-				res.NLL = nll
-				res.AIC = 2*float64(d.NumParams()) + 2*nll
-			}
-			res.KS = ecdf.KolmogorovSmirnov(d.CDF)
-		}
-		results = append(results, res)
+	results := make([]FitResult, len(families))
+	for i, fam := range families {
+		results[i] = ScoreFit(fam, s)
 	}
+	return Rank(results), nil
+}
+
+// ScoreFit fits one family to the sample and scores the fit against it:
+// NLL, AIC = 2k + 2*NLL, and the KS distance to the sample's ECDF. A family
+// that cannot be fitted is recorded with its error, NLL and AIC at +Inf and
+// KS NaN, so it ranks last rather than aborting a comparison.
+func ScoreFit(f Family, s *Sample) FitResult {
+	res := FitResult{Family: f, NLL: math.Inf(1), AIC: math.Inf(1), KS: math.NaN()}
+	d, err := FitSample(f, s)
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	res.Dist = d
+	if nll, err := NegLogLikelihoodSample(d, s); err != nil {
+		res.Err = err
+	} else {
+		res.NLL = nll
+		res.AIC = 2*float64(d.NumParams()) + 2*nll
+	}
+	if ecdf, err := s.ECDF(); err == nil {
+		res.KS = ecdf.KolmogorovSmirnov(d.CDF)
+	}
+	return res
+}
+
+// Rank orders scored fits best first by NLL and wraps them as a
+// Comparison. The sort is stable, so equal scores and failed fits keep the
+// order the families were requested in.
+func Rank(results []FitResult) *Comparison {
 	sort.SliceStable(results, func(i, j int) bool {
 		return results[i].NLL < results[j].NLL
 	})
-	return &Comparison{Results: results}, nil
+	return &Comparison{Results: results}
 }
 
 // Best returns the best successfully fitted result, or an error if every

@@ -2,9 +2,10 @@
 // distribution-fitting front-end in the repository. It fans maximum-
 // likelihood fits, negative-log-likelihood comparisons and nonparametric
 // bootstrap confidence intervals out across a bounded worker pool, memoizes
-// every fit by (sample hash, family, options) so repeated invocations reuse
-// results, and merges shard results in a deterministic order — the output
-// of a run is byte-for-byte independent of the worker count.
+// every fit and interval on the interned sample it was computed from, so
+// repeated invocations reuse results, and merges shard results in a
+// deterministic order — the output of a run is byte-for-byte independent of
+// the worker count.
 //
 // Determinism is engineered in three places:
 //
@@ -20,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -35,7 +35,8 @@ type Options struct {
 	Workers int
 	// BootstrapReps is the number of bootstrap resamples (B) behind every
 	// confidence interval. 0 uses 200; negative disables interval
-	// computation in AnalyzeFleet (FitCI still accepts explicit calls).
+	// computation: AnalyzeFleet omits intervals, and FitCI and FitCISample
+	// return an error.
 	BootstrapReps int
 	// Level is the confidence level for bootstrap intervals; 0 uses 0.95.
 	Level float64
@@ -56,50 +57,31 @@ type Engine struct {
 	// fed in enumeration order, proving ordering never changes output.
 	enumOrder bool
 
-	mu      sync.Mutex
-	fits    map[fitKey][]*fitEntry
-	cis     map[fitKey][]*ciEntry
-	samples map[uint64][]*sampleEntry
+	// mu guards memo, each bucket and each entry's slot maps. memo chains
+	// every interned sample by its FNV-1a hash; a bucket holds more than
+	// one entry only after a hash collision.
+	mu   sync.Mutex
+	memo map[uint64][]*sampleEntry
 
 	hits, misses atomic.Uint64
 	collisions   atomic.Uint64
 }
 
-type fitKey struct {
-	hash   uint64
-	family dist.Family
+// sampleEntry is one interned sample and everything memoized about it: a
+// fit slot and an interval slot per family. Slots are installed under
+// Engine.mu and computed once, outside it, by their sync.Once.
+type sampleEntry struct {
+	s    *dist.Sample
+	fits map[dist.Family]*fitSlot
+	cis  map[dist.Family]*ciSlot
 }
 
-// fingerprint is the cheap identity check layered over the FNV-1a hash:
-// sample length plus the raw bits of the first and last observations. Two
-// samples that collide on the 64-bit hash are overwhelmingly unlikely to
-// also agree on all three, so a hash hit is only trusted when the
-// fingerprint matches; mismatches chain instead of silently reusing a
-// wrong fit.
-type fingerprint struct {
-	n           int
-	first, last uint64
-}
-
-func fingerprintOf(xs []float64) fingerprint {
-	if len(xs) == 0 {
-		return fingerprint{}
-	}
-	return fingerprint{
-		n:     len(xs),
-		first: math.Float64bits(xs[0]),
-		last:  math.Float64bits(xs[len(xs)-1]),
-	}
-}
-
-type fitEntry struct {
-	fp   fingerprint
+type fitSlot struct {
 	once sync.Once
 	res  dist.FitResult
 }
 
-type ciEntry struct {
-	fp   fingerprint
+type ciSlot struct {
 	once sync.Once
 	// done flips true after once ran, letting the sub-shard pipeline skip
 	// scheduling rep blocks for intervals an earlier analysis computed.
@@ -107,11 +89,6 @@ type ciEntry struct {
 	dist dist.Continuous
 	cis  []dist.ParamCI
 	err  error
-}
-
-type sampleEntry struct {
-	fp fingerprint
-	s  *dist.Sample
 }
 
 // New returns an Engine for the given options.
@@ -127,9 +104,7 @@ func New(opts Options) *Engine {
 		reps:    opts.BootstrapReps,
 		level:   opts.Level,
 		seed:    opts.Seed,
-		fits:    make(map[fitKey][]*fitEntry),
-		cis:     make(map[fitKey][]*ciEntry),
-		samples: make(map[uint64][]*sampleEntry),
+		memo:    make(map[uint64][]*sampleEntry),
 	}
 }
 
@@ -149,122 +124,110 @@ func (e *Engine) Stats() (hits, misses uint64) {
 	return e.hits.Load(), e.misses.Load()
 }
 
-// Collisions reports how many cache lookups found a same-hash entry whose
-// sample fingerprint differed — FNV-1a collisions that were detected and
-// chained rather than silently reusing another sample's result.
+// Collisions reports how many samples were chained into a hash bucket
+// already holding different values: 64-bit FNV-1a collisions, each given
+// its own memo entry rather than another sample's results.
 func (e *Engine) Collisions() uint64 { return e.collisions.Load() }
 
-// taskSeed derives the deterministic bootstrap seed of one (sample, family)
-// task. Mixing the sample hash and family into the engine seed makes the
-// seed a property of the task, not of when or where it runs.
-func (e *Engine) taskSeed(hash uint64, f dist.Family) int64 {
+// mixSeed hash-combines coordinates into the engine seed, so a derived
+// seed is a property of what it seeds, never of when or where that runs:
+// a bootstrap task mixes (sample hash, family), a streaming reservoir
+// (system, workload, cause, sample kind).
+func (e *Engine) mixSeed(vs ...uint64) int64 {
 	h := uint64(e.seed) ^ 0x9e3779b97f4a7c15
-	for _, v := range []uint64{hash, uint64(f)} {
+	for _, v := range vs {
 		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
 	}
 	return int64(h)
 }
 
-// Intern returns the engine's shared precomputed Sample for xs, building it
-// on first use. Samples are keyed by FNV-1a hash with a fingerprint check
-// (length, first and last bits) so that fleet analyses fitting the same
-// shard sample through several families and bootstrap passes pay for the
-// transforms — log cache, sums, sorted order, ECDF — exactly once.
-func (e *Engine) Intern(xs []float64) *dist.Sample {
-	hash := stats.HashSample(xs)
-	fp := fingerprintOf(xs)
-	e.mu.Lock()
-	for _, ent := range e.samples[hash] {
-		if ent.fp == fp {
-			e.mu.Unlock()
-			return ent.s
+// lookup is the memo's one bucket walk. It returns the entry whose sample
+// is s itself or, failing that, holds exactly xs, compared bit for bit so
+// that NaNs and signed zeros match themselves. On a miss it chains a new
+// entry owning s, or returns nil when s is nil. A same-hash entry holding
+// other values is walked past, never served. Callers hold e.mu.
+func (e *Engine) lookup(hash uint64, xs []float64, s *dist.Sample) *sampleEntry {
+	bucket := e.memo[hash]
+	for _, ent := range bucket {
+		if ent.s == s || sameBits(ent.s.Values(), xs) {
+			return ent
 		}
 	}
-	e.mu.Unlock()
-	// Build outside the lock; the transforms are O(n).
-	s := dist.NewSamplePrehashed(xs, hash)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, ent := range e.samples[hash] {
-		if ent.fp == fp {
-			return ent.s
-		}
+	if s == nil {
+		return nil
 	}
-	if len(e.samples[hash]) > 0 {
+	if len(bucket) > 0 {
 		e.collisions.Add(1)
 	}
-	e.samples[hash] = append(e.samples[hash], &sampleEntry{fp: fp, s: s})
-	return s
+	ent := &sampleEntry{s: s, fits: make(map[dist.Family]*fitSlot), cis: make(map[dist.Family]*ciSlot)}
+	e.memo[hash] = append(bucket, ent)
+	return ent
 }
 
-// fitOne returns the memoized fit of one family to one sample, computing it
-// on first use. The returned FitResult mirrors dist.FitAll's per-family
-// bookkeeping (NLL, AIC, KS, or the fit error). A hash hit is only reused
-// after the sample fingerprint matches; colliding samples chain.
-func (e *Engine) fitOne(s *dist.Sample, f dist.Family) dist.FitResult {
-	key := fitKey{hash: s.Hash(), family: f}
-	fp := fingerprintOf(s.Values())
-	e.mu.Lock()
-	var ent *fitEntry
-	bucket := e.fits[key]
-	for _, c := range bucket {
-		if c.fp == fp {
-			ent = c
-			break
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
 		}
 	}
-	hit := ent != nil
-	if !hit {
-		if len(bucket) > 0 {
-			e.collisions.Add(1)
-		}
-		ent = &fitEntry{fp: fp}
-		e.fits[key] = append(bucket, ent)
+	return true
+}
+
+// slot returns m[f], installing a fresh slot on first sight; hit reports
+// whether it was already there. Callers hold e.mu.
+func slot[T any](m map[dist.Family]*T, f dist.Family) (sl *T, hit bool) {
+	if sl, hit = m[f]; !hit {
+		sl = new(T)
+		m[f] = sl
 	}
-	e.mu.Unlock()
+	return sl, hit
+}
+
+func (e *Engine) count(hit bool) {
 	if hit {
 		e.hits.Add(1)
 	} else {
 		e.misses.Add(1)
 	}
-	ent.once.Do(func() {
-		ent.res = e.computeFit(s, f)
-	})
-	return ent.res
 }
 
-func (e *Engine) computeFit(s *dist.Sample, f dist.Family) dist.FitResult {
-	res := dist.FitResult{Family: f}
-	d, err := dist.FitSample(f, s)
-	if err != nil {
-		res.Err = err
-		res.NLL = math.Inf(1)
-		res.AIC = math.Inf(1)
-		res.KS = math.NaN()
-		return res
+// Intern returns the engine's shared precomputed Sample for xs, building it
+// on first use, so that fleet analyses fitting the same shard sample
+// through several families and bootstrap passes pay for the transforms —
+// log cache, sums, sorted order, ECDF — exactly once.
+func (e *Engine) Intern(xs []float64) *dist.Sample {
+	hash := stats.HashSample(xs)
+	e.mu.Lock()
+	ent := e.lookup(hash, xs, nil)
+	e.mu.Unlock()
+	if ent != nil {
+		return ent.s
 	}
-	res.Dist = d
-	nll, err := dist.NegLogLikelihoodSample(d, s)
-	if err != nil {
-		res.Err = err
-		res.NLL = math.Inf(1)
-		res.AIC = math.Inf(1)
-	} else {
-		res.NLL = nll
-		res.AIC = 2*float64(d.NumParams()) + 2*nll
-	}
-	ecdf, err := s.ECDF()
-	if err != nil {
-		res.KS = math.NaN()
-		return res
-	}
-	res.KS = ecdf.KolmogorovSmirnov(d.CDF)
-	return res
+	// Build outside the lock; the transforms are O(n).
+	s := dist.NewSamplePrehashed(xs, hash)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.lookup(hash, xs, s).s
+}
+
+// fitOne returns the memoized fit of one family to one sample, computing it
+// on first use with dist.ScoreFit.
+func (e *Engine) fitOne(s *dist.Sample, f dist.Family) dist.FitResult {
+	hash := s.Hash()
+	e.mu.Lock()
+	sl, hit := slot(e.lookup(hash, s.Values(), s).fits, f)
+	e.mu.Unlock()
+	e.count(hit)
+	sl.once.Do(func() { sl.res = dist.ScoreFit(f, s) })
+	return sl.res
 }
 
 // FitAll fits each requested family to xs and ranks the results by NLL,
-// exactly as dist.FitAll does, but with every per-family fit memoized by
-// (sample hash, family). With no families it fits the paper's standard
+// exactly as dist.FitAll does, but with every per-family fit memoized on
+// the interned sample. With no families it fits the paper's standard
 // four. It interns xs; use FitAllSample when the caller already holds a
 // Sample.
 func (e *Engine) FitAll(ctx context.Context, xs []float64, families ...dist.Family) (*dist.Comparison, error) {
@@ -287,17 +250,14 @@ func (e *Engine) FitAllSample(ctx context.Context, s *dist.Sample, families ...d
 	if _, err := s.ECDF(); err != nil {
 		return nil, fmt.Errorf("engine fit all: %w", err)
 	}
-	results := make([]dist.FitResult, 0, len(families))
-	for _, f := range families {
+	results := make([]dist.FitResult, len(families))
+	for i, f := range families {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		results = append(results, e.fitOne(s, f))
+		results[i] = e.fitOne(s, f)
 	}
-	sort.SliceStable(results, func(i, j int) bool {
-		return results[i].NLL < results[j].NLL
-	})
-	return &dist.Comparison{Results: results}, nil
+	return dist.Rank(results), nil
 }
 
 // FitCI returns the memoized fit of one family together with seeded
@@ -309,39 +269,20 @@ func (e *Engine) FitCI(ctx context.Context, xs []float64, f dist.Family) (dist.C
 	return e.FitCISample(ctx, e.Intern(xs), f)
 }
 
-// lookupCI returns the memoized interval entry for (sample, family),
+// lookupCI returns the memoized interval slot of (sample, family),
 // installing an empty one on first sight. count controls hit/miss
 // accounting: caller-facing lookups count, the sub-shard pipeline's
-// internal pre-pass does not (assembly re-looks the same entries up, and
+// internal pre-pass does not (assembly re-looks the same slots up, and
 // double counting would skew the benchmark's cache-rate report).
-func (e *Engine) lookupCI(s *dist.Sample, f dist.Family, count bool) (ent *ciEntry, hit bool) {
-	key := fitKey{hash: s.Hash(), family: f}
-	fp := fingerprintOf(s.Values())
+func (e *Engine) lookupCI(s *dist.Sample, f dist.Family, count bool) *ciSlot {
+	hash := s.Hash()
 	e.mu.Lock()
-	bucket := e.cis[key]
-	for _, c := range bucket {
-		if c.fp == fp {
-			ent = c
-			break
-		}
-	}
-	hit = ent != nil
-	if !hit {
-		if len(bucket) > 0 {
-			e.collisions.Add(1)
-		}
-		ent = &ciEntry{fp: fp}
-		e.cis[key] = append(bucket, ent)
-	}
+	sl, hit := slot(e.lookup(hash, s.Values(), s).cis, f)
 	e.mu.Unlock()
 	if count {
-		if hit {
-			e.hits.Add(1)
-		} else {
-			e.misses.Add(1)
-		}
+		e.count(hit)
 	}
-	return ent, hit
+	return sl
 }
 
 // FitCISample is FitCI over a shared precomputed sample, feeding the
@@ -355,10 +296,10 @@ func (e *Engine) FitCISample(ctx context.Context, s *dist.Sample, f dist.Family)
 	if reps < 0 {
 		return nil, nil, fmt.Errorf("engine fit CI %v: bootstrap disabled (reps %d)", f, reps)
 	}
-	ent, _ := e.lookupCI(s, f, true)
-	ent.once.Do(func() {
-		ent.dist, ent.cis, ent.err = dist.FitCISample(f, s, reps, e.level, e.taskSeed(s.Hash(), f))
-		ent.done.Store(true)
+	sl := e.lookupCI(s, f, true)
+	sl.once.Do(func() {
+		sl.dist, sl.cis, sl.err = dist.FitCISample(f, s, reps, e.level, e.mixSeed(s.Hash(), uint64(f)))
+		sl.done.Store(true)
 	})
-	return ent.dist, ent.cis, ent.err
+	return sl.dist, sl.cis, sl.err
 }

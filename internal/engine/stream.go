@@ -83,23 +83,14 @@ func (a *shardAccum) freeze() *shardAccum {
 	return &c
 }
 
-// shardSeed derives the deterministic reservoir seed of one (shard,
-// sample-kind) accumulator from the engine seed, so a streaming run's
-// subsamples — and therefore its fits — are reproducible regardless of
-// how the records arrive.
-func (e *Engine) shardSeed(key ShardKey, kind uint64) int64 {
-	h := uint64(e.seed) ^ 0x9e3779b97f4a7c15
-	for _, v := range []uint64{uint64(key.System), uint64(key.Workload), uint64(key.Cause), kind} {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-	}
-	return int64(h)
-}
-
+// newShardAccum seeds each of the shard's two reservoirs from (engine seed,
+// shard, sample kind), so a streaming run's subsamples — and therefore its
+// fits — are reproducible regardless of how the records arrive.
 func (e *Engine) newShardAccum(key ShardKey, opts StreamOptions) (*shardAccum, error) {
 	inter, err := streamstats.NewAccumulator(streamstats.Config{
 		SketchEpsilon: opts.SketchEpsilon,
 		ReservoirSize: opts.ReservoirSize,
-		Seed:          e.shardSeed(key, 1),
+		Seed:          e.mixSeed(uint64(key.System), uint64(key.Workload), uint64(key.Cause), 1),
 	})
 	if err != nil {
 		return nil, err
@@ -107,7 +98,7 @@ func (e *Engine) newShardAccum(key ShardKey, opts StreamOptions) (*shardAccum, e
 	repair, err := streamstats.NewAccumulator(streamstats.Config{
 		SketchEpsilon: opts.SketchEpsilon,
 		ReservoirSize: opts.ReservoirSize,
-		Seed:          e.shardSeed(key, 2),
+		Seed:          e.mixSeed(uint64(key.System), uint64(key.Workload), uint64(key.Cause), 2),
 	})
 	if err != nil {
 		return nil, err

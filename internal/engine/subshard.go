@@ -135,9 +135,9 @@ func ciSpans(reps, workers int) [][2]int {
 }
 
 // ciTarget is one (sample, family) confidence interval the pipeline owns:
-// the memo entry it will publish into, the plan, and its rep blocks.
+// the memo slot it will publish into, the plan, and its rep blocks.
 type ciTarget struct {
-	ent     *ciEntry
+	sl      *ciSlot
 	s       *dist.Sample
 	f       dist.Family
 	plan    *dist.CIPlan
@@ -199,7 +199,7 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 			inFams[f] = true
 		}
 		var targets []*ciTarget
-		seenCI := make(map[*ciEntry]bool)
+		seenCI := make(map[*ciSlot]bool)
 		for _, j := range ord {
 			for _, st := range [2]*sampleState{&j.inter, &j.repair} {
 				if st.skip || st.err != nil {
@@ -209,18 +209,18 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 					if !inFams[f] || e.fitOne(st.sample, f).Err != nil {
 						continue
 					}
-					ent, _ := e.lookupCI(st.sample, f, false)
-					if seenCI[ent] || ent.done.Load() {
+					sl := e.lookupCI(st.sample, f, false)
+					if seenCI[sl] || sl.done.Load() {
 						continue
 					}
-					seenCI[ent] = true
-					targets = append(targets, &ciTarget{ent: ent, s: st.sample, f: f})
+					seenCI[sl] = true
+					targets = append(targets, &ciTarget{sl: sl, s: st.sample, f: f})
 				}
 			}
 		}
 		par.For(ctx, len(targets), e.workers, func(i int) {
 			t := targets[i]
-			t.plan, t.planErr = dist.NewCIPlan(t.f, t.s, e.reps, e.level, e.taskSeed(t.s.Hash(), t.f))
+			t.plan, t.planErr = dist.NewCIPlan(t.f, t.s, e.reps, e.level, e.mixSeed(t.s.Hash(), uint64(t.f)))
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -250,18 +250,18 @@ func (e *Engine) analyzeJobs(ctx context.Context, jobs []*shardJob, d *failures.
 			return nil, err
 		}
 
-		// Merge in rep order and publish through the entry's once, so a
+		// Merge in rep order and publish through the slot's once, so a
 		// racing direct FitCISample call sees either nothing (and
 		// computes) or the complete result — never a partial one.
 		for _, t := range targets {
 			t := t
-			t.ent.once.Do(func() {
+			t.sl.once.Do(func() {
 				if t.planErr != nil {
-					t.ent.err = t.planErr
+					t.sl.err = t.planErr
 				} else {
-					t.ent.dist, t.ent.cis, t.ent.err = t.plan.Merge(t.blocks)
+					t.sl.dist, t.sl.cis, t.sl.err = t.plan.Merge(t.blocks)
 				}
-				t.ent.done.Store(true)
+				t.sl.done.Store(true)
 			})
 		}
 	}
